@@ -39,19 +39,23 @@ class SensorConfig:
     photon_budget: Optional[float] = None
 
     def __post_init__(self):
-        if self.pixel_pitch <= 0:
-            raise ValueError("pixel pitch must be positive")
+        if not 0 < self.pixel_pitch < np.inf:
+            raise ValueError("pixel pitch must be positive and finite")
         if self.width < 16 or self.height < 16:
             raise ValueError("sensor must be at least 16x16 pixels")
         object.__setattr__(self, "center_offset",
                            (float(self.center_offset[0]), float(self.center_offset[1])))
 
-    def coordinates(self):
-        """Physical pixel-center coordinate grids (X, Y), row-major."""
+    def axes(self):
+        """Physical pixel-center coordinates (xs, ys) along each axis."""
         ox, oy = self.center_offset
         xs = ox + (np.arange(self.width) - (self.width - 1) / 2) * self.pixel_pitch
         ys = oy + (np.arange(self.height) - (self.height - 1) / 2) * self.pixel_pitch
-        return np.meshgrid(xs, ys, indexing="xy")
+        return xs, ys
+
+    def coordinates(self):
+        """Physical pixel-center coordinate grids (X, Y), row-major."""
+        return np.meshgrid(*self.axes(), indexing="xy")
 
     def extent(self) -> float:
         return min(self.width, self.height) * self.pixel_pitch
@@ -82,8 +86,11 @@ class IntensityImage:
             raise ImageFormatError(
                 f"pixel array {px.shape} does not match sensor "
                 f"{self.sensor.height}x{self.sensor.width}")
-        if np.any(px < 0):
-            raise ImageFormatError("negative intensities are not allowed")
+        # two reductions, no temporaries; min() is NaN if any pixel is NaN
+        if not (px.min() >= 0 and px.max() < np.inf):
+            raise ImageFormatError(
+                "pixel intensities must be finite and nonnegative: "
+                "found NaN/inf or a negative value")
         object.__setattr__(self, "pixels", px)
 
     def coordinates(self):
@@ -97,15 +104,18 @@ def render(field, sensor: SensorConfig, mode: Optional[str] = None,
            rows_per_chunk: Optional[int] = None) -> IntensityImage:
     """Sample |field|^2 at pixel centers.
 
-    `rows_per_chunk` partitions the evaluation by scanlines; results are
-    bit-identical for any partitioning because sampling is pointwise.
+    The field is evaluated on the open grid (xs[None, :], ys[:, None]), which
+    broadcasts to the full pixel array.  `rows_per_chunk` partitions the
+    evaluation by scanlines; results are bit-identical for any partitioning
+    because each pixel is the same product of the same 1-D factors.
     """
-    xg, yg = sensor.coordinates()
+    xs, ys = sensor.axes()
+    x = xs[None, :]
     if rows_per_chunk is None:
-        pixels = np.asarray(field.intensity(xg, yg), dtype=float)
+        pixels = np.asarray(field.intensity(x, ys[:, None]), dtype=float)
     else:
-        chunks = [np.asarray(field.intensity(xg[i:i + rows_per_chunk],
-                                             yg[i:i + rows_per_chunk]), dtype=float)
+        chunks = [np.asarray(field.intensity(x, ys[i:i + rows_per_chunk, None]),
+                             dtype=float)
                   for i in range(0, sensor.height, rows_per_chunk)]
         pixels = np.concatenate(chunks, axis=0)
 
@@ -165,14 +175,46 @@ def _header_dict(img: IntensityImage, scale: float = 1.0) -> dict:
     }
 
 
-def _sensor_from_header(header: dict) -> SensorConfig:
+def _finite(value) -> float:
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
+
+
+def _offset(value) -> tuple:
+    x, y = value
+    return _finite(x), _finite(y)
+
+
+def _mapping(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    return value
+
+
+def _header_field(header: dict, key: str, convert, path, default=None):
+    """convert(header[key]); a missing or malformed value raises
+    ImageFormatError naming the file and the field."""
+    if key not in header:
+        if default is not None:
+            return default
+        raise ImageFormatError(f"{path}: header lacks field '{key}'")
     try:
-        return SensorConfig(pixel_pitch=header["pixel_pitch_mm"],
-                            width=int(header["width"]),
-                            height=int(header["height"]),
-                            center_offset=tuple(header["origin_offset_mm"]))
-    except KeyError as missing:
-        raise ImageFormatError(f"header lacks field {missing}") from None
+        return convert(header[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ImageFormatError(f"{path}: header field '{key}' is malformed") from None
+
+
+def _sensor_from_header(header: dict, path) -> SensorConfig:
+    pitch = _header_field(header, "pixel_pitch_mm", _finite, path)
+    width = _header_field(header, "width", int, path)
+    height = _header_field(header, "height", int, path)
+    offset = _header_field(header, "origin_offset_mm", _offset, path)
+    try:
+        return SensorConfig(pitch, width, height, center_offset=offset)
+    except ValueError as bad:
+        raise ImageFormatError(f"{path}: header geometry: {bad}") from None
 
 
 def _resolve_format(path, fmt: Optional[str]) -> str:
@@ -228,12 +270,21 @@ def _read_pgm(path) -> IntensityImage:
         if line.startswith(b"#"):
             text = line[1:].strip()
             if text.startswith(b"{"):
-                header_json = json.loads(text.decode())
+                try:
+                    header_json = json.loads(text.decode())
+                except ValueError:
+                    raise ImageFormatError(
+                        f"{path}: provenance comment is not valid JSON") from None
             continue
         tokens.extend(line.split())
-    magic, width, height, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    magic = tokens[0]
     if magic != b"P5":
         raise ImageFormatError(f"{path}: expected binary graymap magic P5, got {magic!r}")
+    try:
+        width, height, maxval = (int(token) for token in tokens[1:4])
+    except ValueError:
+        raise ImageFormatError(f"{path}: header width/height/maxval "
+                               "must be integers") from None
     if maxval != _PGM_MAXVAL:
         raise ImageFormatError(f"{path}: expected 16-bit maxval {_PGM_MAXVAL}, got {maxval}")
     if header_json is None:
@@ -244,13 +295,14 @@ def _read_pgm(path) -> IntensityImage:
         raise ImageFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}")
     raw = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    sensor = _sensor_from_header(header_json)
+    sensor = _sensor_from_header(header_json, path)
     if (sensor.width, sensor.height) != (width, height):
         raise ImageFormatError(
             f"{path}: header geometry {sensor.width}x{sensor.height} "
             f"does not match payload {width}x{height}")
-    pixels = raw.astype(float) * header_json.get("intensity_scale", 1.0)
-    return IntensityImage(pixels, sensor, header_json.get("provenance", {}))
+    scale = _header_field(header_json, "intensity_scale", _finite, path, 1.0)
+    provenance = _header_field(header_json, "provenance", _mapping, path, {})
+    return IntensityImage(raw.astype(float) * scale, sensor, provenance)
 
 
 def _read_csv(path) -> IntensityImage:
@@ -274,15 +326,17 @@ def _read_csv(path) -> IntensityImage:
     if not sidecar.exists():
         raise ImageFormatError(f"{path}: missing JSON sidecar {sidecar}")
     with open(sidecar) as fh:
-        header = json.load(fh)
-    sensor = _sensor_from_header(header)
+        try:
+            header = _mapping(json.load(fh))
+        except (TypeError, ValueError):
+            raise ImageFormatError(f"{sidecar}: not a JSON object") from None
+    sensor = _sensor_from_header(header, sidecar)
     if (sensor.height, sensor.width) != pixels.shape:
         raise ImageFormatError(
             f"{path}: header geometry {sensor.height}x{sensor.width} "
             f"does not match payload {pixels.shape}")
-    if np.any(pixels < 0):
-        raise ImageFormatError(f"{path}: negative intensities rejected")
-    return IntensityImage(pixels, sensor, header.get("provenance", {}))
+    provenance = _header_field(header, "provenance", _mapping, sidecar, {})
+    return IntensityImage(pixels, sensor, provenance)
 
 
 def read_image(path, fmt: Optional[str] = None) -> IntensityImage:

@@ -3,9 +3,10 @@ post-selected probe field (exact two-component form and the weak-limit
 complex-displaced vortex), and closed-form intensity centroids with their
 quadrature oracle.
 
-All fields are lazy callables over physical (x, y) coordinates so one
-definition serves quadrature, rendering, and root finding at any resolution.
-Lengths are in millimeters throughout.
+Every field is a short list of displaced vortex terms, (coefficient,
+shift) pairs, evaluated by one routine over physical (x, y) coordinates:
+pointwise on full meshgrids for quadrature and root finding, separably on
+an open pixel grid for rendering.  Lengths are in millimeters throughout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,23 +64,55 @@ class ProbeConfig:
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Evaluable complex amplitude with normalization metadata.
+    """Sum of displaced vortex terms held as (c, s) pairs:
+    sum_k c_k N_l (x - s_k + iy)^l exp(-(x - s_k)^2/4 w0^2) exp(-y^2/4 w0^2).
 
-    `weak_value` records the displacement context when the field descends
-    from a post-selected measurement; `normalized` flags unit L2 norm.
+    A complex shift s is the weak-limit displacement G w.  The sum is a
+    polynomial in iy with coefficients in x alone, so on an open grid (x of
+    shape (1, W), y of shape (H, 1)) every exponential is one-dimensional.
+    `weak_value` records the displacement context of a post-selected field;
+    `normalized` flags unit L2 norm.
     """
 
-    amplitude: Callable
+    terms: tuple  # of (coefficient, shift)
     probe: ProbeConfig
     description: str
     normalized: bool = False
     weak_value: Optional[complex] = None
 
-    def __call__(self, x, y):
-        return self.amplitude(x, y)
+    def _polynomial(self, x, y):
+        """(Re, Im) of the amplitude over its envelope exp(q), and q(y)."""
+        l, k = self.probe.l, -0.25 / self.probe.w0 ** 2
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        # a[j] = C(l, j) sum_k c_k N u_k^(l-j) exp(-u_k^2/4 w0^2), u_k = x - s_k
+        a = [0.0] * (l + 1)
+        for c, s in self.terms:
+            u = x - s
+            term = c * self.probe.normalization() * np.exp(u * u * k)
+            for j in range(l, -1, -1):
+                a[j] = a[j] + math.comb(l, j) * term
+                if j:
+                    term = term * u
+        re, im = np.real(a[l]), np.imag(a[l])
+        for coeff in reversed(a[:l]):  # Horner in iy, one fresh grid pair per step
+            re, im = -y * im, y * re
+            re += np.real(coeff)
+            im += np.imag(coeff)
+        return re, im, y * y * k
+
+    def amplitude(self, x, y):
+        re, im, q = self._polynomial(x, y)
+        return (re + 1j * im) * np.exp(q)
+
+    __call__ = amplitude
 
     def intensity(self, x, y):
-        return np.abs(self.amplitude(x, y)) ** 2
+        re, im, q = self._polynomial(x, y)
+        re *= re
+        im *= im
+        re += im
+        re *= np.exp(2.0 * q)
+        return re
 
     def min_extent(self) -> float:
         """Full width that keeps the displaced annulus inside the window."""
@@ -97,115 +130,80 @@ class MixedField:
     weak_value: Optional[complex] = None
 
     def intensity(self, x, y):
-        total = 0.0
-        for weight, comp in self.components:
-            total = total + weight * comp.intensity(x, y)
-        return total
+        return sum(weight * comp.intensity(x, y)
+                   for weight, comp in self.components)
 
     def min_extent(self) -> float:
         return max(comp.min_extent() for _, comp in self.components)
 
 
-# ---------------------------------------------------------------------------
-# Laguerre-Gaussian probe
-# ---------------------------------------------------------------------------
+def lg_field(cfg: ProbeConfig) -> ComplexField:
+    return ComplexField(((1.0, 0.0),), cfg, "lg", normalized=True,
+                        weak_value=0.0)
+
 
 def lg_amplitude(cfg: ProbeConfig, x, y):
     """Normalized vortex amplitude N_l (x+iy)^l exp(-(x^2+y^2)/4 w0^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    core = (x + 1j * y) ** cfg.l
-    return cfg.normalization() * core * np.exp(-(x * x + y * y) / (4 * cfg.w0 ** 2))
-
-
-def lg_field(cfg: ProbeConfig) -> ComplexField:
-    return ComplexField(lambda x, y: lg_amplitude(cfg, x, y), cfg,
-                        "lg", normalized=True, weak_value=0.0)
-
-
-def _postselection_amplitudes(state: QubitState):
-    """Coefficients (c_plus, c_minus) of phi_i(x-G, y) and phi_i(x+G, y).
-
-    Amplitude form <1|+-><+-|psi>, valid at the poles where the weak value
-    itself diverges; equals (<1|psi>/2)(1 +- w) away from them.
-    """
-    c0, c1 = state.amplitudes()
-    c_plus = (c0 + c1) / 2.0
-    c_minus = -(c0 - c1) / 2.0
-    return c_plus, c_minus
-
-
-def exact_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
-    """Post-selected probe amplitude without the weak approximation.
-
-    Two displaced vortex components interfere; the overall factor carries
-    the post-selection amplitude, so the field is deliberately not
-    renormalized.  Requires l = 1.
-    """
-    if cfg.l != 1:
-        raise ValueError("the exact post-selected field is defined for l = 1")
-    c_plus, c_minus = _postselection_amplitudes(state)
-    # c_plus + c_minus = <1|psi>; with zero coupling the two components
-    # coincide, so the field is identically zero iff that sum vanishes.
-    if cfg.g == 0.0 and abs(c_plus + c_minus) < 1e-15:
-        raise ZeroFieldError(
-            "post-selection never succeeds: |0> input with zero coupling")
-    return (c_minus * lg_amplitude(cfg, np.asarray(x, dtype=float) + cfg.g, y)
-            + c_plus * lg_amplitude(cfg, np.asarray(x, dtype=float) - cfg.g, y))
-
-
-def exact_field(cfg: ProbeConfig, state: QubitState,
-                postselection: BlochVector = SOUTH_POLE) -> ComplexField:
-    """Exact post-selected field as a lazy ComplexField.
-
-    Post-selections other than |1> are handled by rotating the scene about
-    the x axis (which commutes with the measurement coupling) so the
-    requested post-selection becomes the south pole.
-    """
-    work_state = _rotate_to_south(state, postselection)
-    try:
-        w = weak_value_pure(work_state).value
-    except PoleStateError:
-        if cfg.g == 0.0:
-            raise ZeroFieldError("post-selection never succeeds: "
-                                 "pole input with zero coupling") from None
-        w = None
-    return ComplexField(
-        lambda x, y: exact_postselected_field(cfg, work_state, x, y),
-        cfg, "exact", normalized=False, weak_value=w)
-
-
-def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
-    """Weak-limit field <1|psi> phi_i(x - G w, y) with complex displacement.
-
-    The squared magnitude is the displaced-vortex intensity whose zero sits
-    at (G Re w, G Im w).  Valid for any vortex charge l >= 1.
-    """
-    w = weak_value_pure(state).value  # raises at the theta = 0 pole
-    _, c1 = state.amplitudes()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shifted = x - cfg.g * w
-    core = (shifted + 1j * y) ** cfg.l
-    envelope = np.exp(-(shifted * shifted + y * y) / (4 * cfg.w0 ** 2))
-    return c1 * cfg.normalization() * core * envelope
-
-
-def approx_field(cfg: ProbeConfig, state: QubitState,
-                 postselection: BlochVector = SOUTH_POLE) -> ComplexField:
-    work_state = _rotate_to_south(state, postselection)
-    w = weak_value_pure(work_state).value
-    return ComplexField(
-        lambda x, y: approx_postselected_field(cfg, work_state, x, y),
-        cfg, "approx", normalized=False, weak_value=w)
+    return lg_field(cfg).amplitude(x, y)
 
 
 def _rotate_to_south(state: QubitState, postselection: BlochVector) -> QubitState:
     beta = postselection_rotation_angle(postselection)
     if beta == 0.0:
         return state
-    rotated = state.bloch().rotated_about_x(-beta)
-    return rotated.to_state()
+    return state.bloch().rotated_about_x(-beta).to_state()
+
+
+def exact_field(cfg: ProbeConfig, state: QubitState,
+                postselection: BlochVector = SOUTH_POLE) -> ComplexField:
+    """Post-selected field without the weak approximation.  Requires l = 1.
+
+    Two displaced vortex components phi_i(x -+ G, y) interfere with
+    coefficients <1|+-><+-|psi>, a form valid at the poles where the weak
+    value itself diverges; it equals (<1|psi>/2)(1 +- w) away from them.
+    The overall factor carries the post-selection amplitude, so the field
+    is deliberately not renormalized.  Post-selections other than |1> are
+    handled by rotating the scene about the x axis (which commutes with the
+    measurement coupling) so the requested post-selection becomes the
+    south pole.
+    """
+    if cfg.l != 1:
+        raise ValueError("the exact post-selected field is defined for l = 1")
+    work_state = _rotate_to_south(state, postselection)
+    try:
+        w = weak_value_pure(work_state).value
+    except PoleStateError:
+        # with zero coupling the components coincide and sum to <1|psi> = 0
+        if cfg.g == 0.0:
+            raise ZeroFieldError("post-selection never succeeds: "
+                                 "pole input with zero coupling") from None
+        w = None
+    c0, c1 = work_state.amplitudes()
+    terms = ((-(c0 - c1) / 2.0, -cfg.g), ((c0 + c1) / 2.0, cfg.g))
+    return ComplexField(terms, cfg, "exact", weak_value=w)
+
+
+def exact_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
+    """Exact post-selected amplitude for the |1> post-selection."""
+    return exact_field(cfg, state).amplitude(x, y)
+
+
+def approx_field(cfg: ProbeConfig, state: QubitState,
+                 postselection: BlochVector = SOUTH_POLE) -> ComplexField:
+    """Weak-limit field <1|psi> phi_i(x - G w, y) with complex displacement.
+
+    The squared magnitude is the displaced-vortex intensity whose zero sits
+    at (G Re w, G Im w).  Valid for any vortex charge l >= 1.
+    """
+    work_state = _rotate_to_south(state, postselection)
+    w = weak_value_pure(work_state).value  # raises at the theta = 0 pole
+    c1 = work_state.amplitudes()[1]
+    return ComplexField(((c1, cfg.g * w),), cfg, "approx", weak_value=w)
+
+
+def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
+    """Weak-limit amplitude for the |1> post-selection."""
+    return approx_field(cfg, state).amplitude(x, y)
 
 
 def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,

@@ -171,6 +171,33 @@ class TestEstimate:
         assert len(rows) == 4
         assert "error" in rows[2]
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("origin_offset_mm", [], "origin_offset_mm"),
+        ("pixel_pitch_mm", "x", "pixel_pitch_mm"),
+        ("size line", b"wide 256", "width"),
+    ])
+    def test_malformed_pgm_header_is_error_row(self, tmp_path, key, value,
+                                               named):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", base_config(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        path = out / "img_0000_0.pgm"
+        magic, comment, size, rest = path.read_bytes().split(b"\n", 3)
+        if key == "size line":
+            size = value
+        else:
+            header = json.loads(comment[1:])
+            header[key] = value
+            comment = b"# " + json.dumps(header).encode()
+        path.write_bytes(b"\n".join([magic, comment, size, rest]))
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     str(path)]) == EXIT_ESTIMATION
+        error = csv_lines(out_csv)[1].split(",")[-1]
+        assert error.startswith(f"error: {path}:")
+        assert named in error
+
     def test_all_failures_exit_nonzero(self, tmp_path):
         cal = write_calibration(tmp_path)
         assert main(["estimate", "--cal", cal, "--postselect", "0,0,-1",

@@ -6,10 +6,10 @@ import pytest
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, add_shot_noise, fast_sensor,
                                  experiment_ccd, read_image, render, write_image)
-from vortexscope.polarization import QubitState
+from vortexscope.polarization import BlochVector, QubitState
 from vortexscope.probefield import (ProbeConfig, TruncationWarning,
                                     approx_field, exact_field, lg_field,
-                                    quadrature_norm)
+                                    mixed_exact_field, quadrature_norm)
 
 W0 = 1.0
 PROBE = ProbeConfig(w0=W0, g=0.05)
@@ -76,6 +76,20 @@ class TestRender:
         for chunk in (1, 5, 32, 128):
             parts = render(field, sensor, rows_per_chunk=chunk).pixels
             assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("make", [
+        lambda: exact_field(PROBE, QubitState(0.7, 2.0),
+                            BlochVector(0.0, np.sin(0.4), -np.cos(0.4))),
+        lambda: approx_field(ProbeConfig(w0=W0, g=0.05, l=2),
+                             QubitState(0.7, 2.0)),
+        lambda: mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4)),
+    ], ids=["exact-tilted-postselection", "approx-l2-complex-shift", "mixed"])
+    def test_open_grid_matches_pointwise(self, make):
+        field = make()
+        sensor = fast_sensor(W0, pixels=128)
+        pointwise = field.intensity(*sensor.coordinates())
+        rendered = render(field, sensor).pixels
+        assert np.max(np.abs(rendered - pointwise)) <= 1e-14 * pointwise.max()
 
     def test_truncation_warning_attached(self):
         small = SensorConfig(pixel_pitch=0.01, width=64, height=64)  # 0.64 mm fov
@@ -160,6 +174,15 @@ class TestImageIO:
         with pytest.raises(ImageFormatError, match="negative"):
             read_image(path)
 
+    def test_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_image(self.img, path)
+        rows = path.read_text().splitlines()
+        rows[3] = "nan" + rows[3][rows[3].index(","):]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ImageFormatError, match="NaN"):
+            read_image(path)
+
     def test_malformed_csv_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_image(self.img, path)
@@ -213,3 +236,11 @@ def test_image_rejects_negative_pixels():
     with pytest.raises(ImageFormatError):
         IntensityImage(-np.ones((16, 16)),
                        SensorConfig(pixel_pitch=0.1, width=16, height=16))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_image_rejects_non_finite_pixels(bad):
+    pixels = np.ones((16, 16))
+    pixels[3, 5] = bad
+    with pytest.raises(ImageFormatError, match="NaN/inf"):
+        IntensityImage(pixels, SensorConfig(pixel_pitch=0.1, width=16, height=16))
