@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 estimation failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -71,7 +72,7 @@ def parse_sensor(cfg: dict, probe: probefield.ProbeConfig) -> imaging.SensorConf
                 width=int(_require(sensor, "width")),
                 height=int(_require(sensor, "height")),
                 center_offset=tuple(sensor.get("center_offset_mm", (0.0, 0.0))))
-        except ValueError as bad:
+        except (TypeError, ValueError) as bad:
             raise ConfigError(f"config field 'sensor': {bad}") from None
     raise ConfigError(f"config field 'sensor': unknown preset {sensor!r}")
 
@@ -159,13 +160,13 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path, header, rows, provenance=None):
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         if provenance is not None:
             fh.write("# provenance: " + json.dumps(provenance) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, str) else _fmt(c)
-                              for c in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row]
+                         for row in rows)
 
 
 def _simulate_image(probe, sensor, state, postselection, mode, noise, seed_offset=0):
@@ -288,9 +289,7 @@ def cmd_estimate(args) -> int:
     header = ["file", "zip_x_mm", "zip_y_mm", "w_re", "w_im", "theta_est",
               "phi_est", "x", "y", "z", "fidelity", "error"]
     out = args.out or "estimates.csv"
-    _write_csv(out, header,
-               [tuple(str(c) if isinstance(c, str) else c for c in r)
-                for r in rows],
+    _write_csv(out, header, rows,
                provenance={"command": "estimate",
                            "calibration": calibration.to_json(),
                            "postselection": [postselection.x, postselection.y,

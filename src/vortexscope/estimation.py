@@ -103,10 +103,12 @@ class ReconstructionResult:
 def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEstimate:
     """Locate the dark vortex core of an intensity image.
 
-    Pixels at or below threshold_fraction * max form candidate regions; the
-    largest connected region not touching the border (the beam's dark
+    Pixels at or below threshold_fraction * max form 4-connected candidate
+    regions; the largest region not touching the border (the beam's dark
     exterior always touches it) is averaged with weights
-    (threshold - intensity), so the darkest pixels dominate.
+    (threshold - intensity), so the darkest pixels dominate.  Region sizes
+    come from one bincount over the dark pixels' labels, and the average runs
+    over the winner's pixels only, through the 1-D sensor axes.
     """
     if not 0.0 < threshold_fraction < 0.5:
         raise ValueError("threshold_fraction must lie in (0, 0.5)")
@@ -115,37 +117,34 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     if peak <= 0:
         raise NoVortexError("image has no positive intensity")
     threshold = threshold_fraction * peak
-    labels, count = ndimage.label(pixels <= threshold)
+    dark = pixels <= threshold
+    labels, count = ndimage.label(dark)
     if count == 0:
         raise NoVortexError("no pixels below threshold")
-    border = np.unique(np.concatenate([labels[0, :], labels[-1, :],
-                                       labels[:, 0], labels[:, -1]]))
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels,
-                               index=np.arange(1, count + 1))
-    interior = [(int(sizes[k - 1]), k) for k in range(1, count + 1)
-                if k not in border and sizes[k - 1] > 0]
-    if not interior:
+    flat = np.flatnonzero(dark)  # dark pixels only: lit label 0 has size 0
+    flat_labels = labels.ravel()[flat]
+    sizes = np.bincount(flat_labels, minlength=count + 1)
+    for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+        sizes[edge] = 0
+    best_size = sizes.max()
+    if best_size == 0:
         raise NoVortexError("no interior low-intensity component found")
-    interior.sort(reverse=True)
-    best_size = interior[0][0]
-    ties = [k for size, k in interior if size == best_size]
-    xg, yg = img.coordinates()
+    ties = np.flatnonzero(sizes == best_size)[::-1]
+    members = [np.divmod(flat[flat_labels == k], pixels.shape[1]) for k in ties]
+    xs, ys = img.sensor.axes()
     if len(ties) > 1:
-        candidates = [(float(xg[labels == k].mean()), float(yg[labels == k].mean()))
-                      for k in ties]
+        candidates = [(float(xs[cols].mean()), float(ys[rows].mean()))
+                      for rows, cols in members]
         raise AmbiguousVortexError(
             f"{len(ties)} equal-size dark components", candidates)
-    component = labels == ties[0]
-    weights = np.where(component, threshold - pixels, 0.0)
-    weights = np.clip(weights, 0.0, None)
+    rows, cols = members[0]
+    weights = threshold - pixels[rows, cols]  # >= 0 on every member
     total = weights.sum()
     if total <= 0:  # every selected pixel sits exactly at the threshold
-        weights = component.astype(float)
-        total = weights.sum()
-    position = (float((xg * weights).sum() / total),
-                float((yg * weights).sum() / total))
-    return ZipEstimate(position=position,
-                       pixel_count_used=int(component.sum()),
+        weights, total = np.ones(rows.size), rows.size
+    position = (float((xs[cols] * weights).sum() / total),
+                float((ys[rows] * weights).sum() / total))
+    return ZipEstimate(position=position, pixel_count_used=int(rows.size),
                        threshold_used=float(threshold))
 
 

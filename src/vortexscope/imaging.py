@@ -43,8 +43,10 @@ class SensorConfig:
             raise ValueError("pixel pitch must be positive and finite")
         if self.width < 16 or self.height < 16:
             raise ValueError("sensor must be at least 16x16 pixels")
-        object.__setattr__(self, "center_offset",
-                           (float(self.center_offset[0]), float(self.center_offset[1])))
+        offset = np.asarray(self.center_offset, dtype=float)
+        if offset.shape != (2,) or not np.isfinite(offset).all():
+            raise ValueError("center offset must be two finite numbers")
+        object.__setattr__(self, "center_offset", (float(offset[0]), float(offset[1])))
 
     def axes(self):
         """Physical pixel-center coordinates (xs, ys) along each axis."""

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestSimulate:
                           states={"kind": "bloch", "x": 0.1, "y": 0.0, "z": 0.2})
         assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("offset", [[], [1.0], 5])
+    def test_malformed_center_offset_is_config_error(self, tmp_path, capsys,
+                                                     offset):
+        cfg = base_config(tmp_path, sensor={"pixel_pitch_mm": 8.0 / 256,
+                                            "width": 256, "height": 256,
+                                            "center_offset_mm": offset})
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "sensor" in capsys.readouterr().err
+
 
 class TestEstimate:
     def simulate_sweep(self, tmp_path, steps=8, postselect=(0, 0, -1)):
@@ -197,6 +208,19 @@ class TestEstimate:
         error = csv_lines(out_csv)[1].split(",")[-1]
         assert error.startswith(f"error: {path}:")
         assert named in error
+
+    def test_error_with_comma_stays_in_its_column(self, tmp_path):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1.0,2.0\n1.0,2.0,3.0\n")
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     str(ragged)]) == EXIT_ESTIMATION
+        reader = csv.DictReader(csv_lines(out_csv))
+        (row,) = list(reader)
+        assert len(reader.fieldnames) == 12 and None not in row
+        assert row["error"] == (f"error: {ragged}: ragged rows with "
+                                "widths [2, 3]")
 
     def test_all_failures_exit_nonzero(self, tmp_path):
         cal = write_calibration(tmp_path)

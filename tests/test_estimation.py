@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vortexscope.estimation import (AmbiguousVortexError, Calibration,
                                     CalibrationError,
@@ -86,7 +87,32 @@ class TestExtractZip:
         img = IntensityImage(pixels, sensor)
         with pytest.raises(AmbiguousVortexError) as excinfo:
             extract_zip(img)
-        assert len(excinfo.value.candidates) == 2
+        # unweighted hole centres: (row, column) (21, 11) and (41, 51)
+        assert sorted(excinfo.value.candidates) == [
+            pytest.approx((-2.05, -1.05), abs=1e-12),
+            pytest.approx((1.95, 0.95), abs=1e-12)]
+
+    @pytest.mark.parametrize("band", [np.s_[:10, 20:50], np.s_[54:, 20:50],
+                                      np.s_[20:50, :10], np.s_[20:50, 54:]])
+    def test_largest_component_on_border_is_skipped(self, band):
+        sensor = SensorConfig(pixel_pitch=0.1, width=64, height=64)
+        pixels = np.ones((64, 64))
+        pixels[band] = 0.0
+        pixels[30:33, 30:33] = 0.0
+        zip_est = extract_zip(IntensityImage(pixels, sensor))
+        assert zip_est.pixel_count_used == 9
+        assert zip_est.position == pytest.approx((-0.05, -0.05), abs=1e-12)
+
+    def test_zero_weights_fall_back_to_unweighted_mean(self):
+        # threshold 0.01 * 100 is exactly 1.0, the hole's own intensity
+        sensor = SensorConfig(pixel_pitch=0.1, width=64, height=64)
+        pixels = np.full((64, 64), 100.0)
+        pixels[20:24, 30:33] = 1.0
+        zip_est = extract_zip(IntensityImage(pixels, sensor),
+                              threshold_fraction=0.01)
+        assert zip_est.threshold_used == 1.0
+        assert zip_est.pixel_count_used == 12
+        assert zip_est.position == pytest.approx((-0.05, -1.0), abs=1e-12)
 
     def test_translation_covariance(self):
         field = exact_field(PROBE, QubitState(0.8, 0.7))
@@ -120,6 +146,48 @@ class TestExtractZip:
         err = np.hypot(zip_est.position[0] - target[0],
                        zip_est.position[1] - target[1])
         assert err < sensor.pixel_pitch
+
+
+def full_frame_extract_zip(img, threshold_fraction):
+    """Reference extraction as first written: component sizes by
+    sum_labels, a Python border-membership loop and full-frame weighted
+    sums over the coordinate meshgrid."""
+    pixels = img.pixels
+    threshold = threshold_fraction * pixels.max()
+    labels, count = ndimage.label(pixels <= threshold)
+    border = np.unique(np.concatenate([labels[0, :], labels[-1, :],
+                                       labels[:, 0], labels[:, -1]]))
+    sizes = ndimage.sum_labels(np.ones_like(labels), labels,
+                               index=np.arange(1, count + 1))
+    interior = sorted(((int(sizes[k - 1]), k) for k in range(1, count + 1)
+                       if k not in border), reverse=True)
+    assert [size for size, _ in interior].count(interior[0][0]) == 1, \
+        "reference frame must not tie"
+    component = labels == interior[0][1]
+    weights = np.where(component, threshold - pixels, 0.0)
+    xg, yg = img.coordinates()
+    total = weights.sum()
+    return ZipEstimate(position=((xg * weights).sum() / total,
+                                 (yg * weights).sum() / total),
+                       pixel_count_used=int(component.sum()),
+                       threshold_used=float(threshold))
+
+
+@pytest.mark.parametrize("frame", ["noisy", "mixture"])
+def test_extract_zip_matches_full_frame_reference(frame):
+    sensor = fast_sensor(W0, pixels=512)
+    if frame == "noisy":
+        probe = ProbeConfig(w0=W0, g=0.1)
+        clean = render(exact_field(probe, QubitState(np.pi / 3, 1.0)), sensor)
+        img, fraction = add_shot_noise(clean, 1e6, seed=3), 0.1
+    else:
+        field = mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4))
+        img, fraction = render(field, sensor), 0.01
+    new = extract_zip(img, threshold_fraction=fraction)
+    ref = full_frame_extract_zip(img, fraction)
+    assert new.pixel_count_used == ref.pixel_count_used
+    assert new.threshold_used == ref.threshold_used
+    assert new.position == pytest.approx(ref.position, abs=1e-12)
 
 
 class TestEstimateState:
