@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -135,9 +136,10 @@ def parse_noise(cfg: dict):
     if not isinstance(noise, dict):
         raise ConfigError("config field 'noise' must be null or an object")
     try:
-        return {"photon_budget": float(_require(noise, "photon_budget")),
+        return {"photon_budget": imaging.checked_photon_budget(
+                    _require(noise, "photon_budget")),
                 "seed": int(noise.get("seed", 0))}
-    except ValueError as bad:
+    except (TypeError, ValueError) as bad:
         raise ConfigError(f"config field 'noise': {bad}") from None
 
 
@@ -415,6 +417,7 @@ def cmd_path(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexscope",
@@ -462,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as bad:

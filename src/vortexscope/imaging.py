@@ -140,21 +140,34 @@ def render(field, sensor: SensorConfig, mode: Optional[str] = None,
     return IntensityImage(pixels, sensor, provenance)
 
 
+# No pixel's Poisson mean exceeds the budget; numpy's sampler rejects means
+# above about 9.2e18.
+MAX_PHOTON_BUDGET = 1e18
+
+
+def checked_photon_budget(value) -> float:
+    """float(value) if it is a usable photon budget, else ValueError."""
+    budget = float(value)
+    if not 0 < budget <= MAX_PHOTON_BUDGET:  # also rejects NaN
+        raise ValueError(f"photon budget must be positive and at most "
+                         f"{MAX_PHOTON_BUDGET:g}, got {budget!r}")
+    return budget
+
+
 def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int) -> IntensityImage:
     """Replace pixels by Poisson counts with expected total = photon_budget.
 
     Counter-based Philox stream keyed by the seed makes the draw
     deterministic; geometry and upstream provenance are untouched.
     """
-    if photon_budget <= 0:
-        raise ValueError("photon budget must be positive")
+    photon_budget = checked_photon_budget(photon_budget)
     total = img.pixels.sum()
     if total <= 0:
         raise ValueError("cannot scale a zero image to a photon budget")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     counts = rng.poisson(img.pixels * (photon_budget / total)).astype(float)
     provenance = dict(img.provenance)
-    provenance["noise"] = {"photon_budget": float(photon_budget), "seed": int(seed)}
+    provenance["noise"] = {"photon_budget": photon_budget, "seed": int(seed)}
     return IntensityImage(counts, img.sensor, provenance)
 
 
@@ -239,14 +252,14 @@ def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
         peak = img.max_intensity()
         scale = peak / _PGM_MAXVAL if peak > 0 else 1.0
         header = _header_dict(img, scale=scale)
-        quantized = np.rint(img.pixels / scale).astype(">u2") if peak > 0 \
-            else np.zeros_like(img.pixels, dtype=">u2")
+        quantized = np.divide(img.pixels, scale)  # one float temporary
+        np.rint(quantized, out=quantized)
         with open(path, "wb") as fh:
             fh.write(b"P5\n")
             fh.write(b"# " + json.dumps(header).encode() + b"\n")
             fh.write(f"{img.sensor.width} {img.sensor.height}\n".encode())
             fh.write(f"{_PGM_MAXVAL}\n".encode())
-            fh.write(quantized.tobytes())
+            fh.write(quantized.astype(">u2", order="C"))
     else:
         header = _header_dict(img)
         with open(path, "w") as fh:

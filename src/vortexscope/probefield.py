@@ -62,14 +62,29 @@ class ProbeConfig:
                                * 2.0 ** (self.l + 1)) / self.w0 ** (self.l + 1)
 
 
+def _intensity(b, y, w0):
+    """exp(-y^2/2 w0^2) sum_n b[n] y^n by Horner in y on one broadcast grid,
+    clamped at 0, which rounding undershoots at an exact zero of the field."""
+    y = np.asarray(y, dtype=float)
+    out = np.asarray(b[-1] * y)
+    out += b[-2]
+    for coeff in reversed(b[:-2]):
+        out *= y
+        out += coeff
+    np.maximum(out, 0.0, out=out)
+    out *= np.exp(y * y * (-0.5 / w0 ** 2))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexField:
     """Sum of displaced vortex terms held as (c, s) pairs:
     sum_k c_k N_l (x - s_k + iy)^l exp(-(x - s_k)^2/4 w0^2) exp(-y^2/4 w0^2).
 
     A complex shift s is the weak-limit displacement G w.  The sum is a
-    polynomial in iy with coefficients in x alone, so on an open grid (x of
-    shape (1, W), y of shape (H, 1)) every exponential is one-dimensional.
+    polynomial in iy with coefficients in x alone, and its squared magnitude
+    a real polynomial in y, so on an open grid (x of shape (1, W), y of
+    shape (H, 1)) every exponential is one-dimensional.
     `weak_value` records the displacement context of a post-selected field;
     `normalized` flags unit L2 norm.
     """
@@ -80,10 +95,10 @@ class ComplexField:
     normalized: bool = False
     weak_value: Optional[complex] = None
 
-    def _polynomial(self, x, y):
-        """(Re, Im) of the amplitude over its envelope exp(q), and q(y)."""
+    def _coefficients(self, x):
+        """a[j](x) with amplitude = exp(-y^2/4 w0^2) sum_j a[j] (iy)^j."""
         l, k = self.probe.l, -0.25 / self.probe.w0 ** 2
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x = np.asarray(x, dtype=float)
         # a[j] = C(l, j) sum_k c_k N u_k^(l-j) exp(-u_k^2/4 w0^2), u_k = x - s_k
         a = [0.0] * (l + 1)
         for c, s in self.terms:
@@ -93,26 +108,28 @@ class ComplexField:
                 a[j] = a[j] + math.comb(l, j) * term
                 if j:
                     term = term * u
-        re, im = np.real(a[l]), np.imag(a[l])
-        for coeff in reversed(a[:l]):  # Horner in iy, one fresh grid pair per step
-            re, im = -y * im, y * re
-            re += np.real(coeff)
-            im += np.imag(coeff)
-        return re, im, y * y * k
+        return a
+
+    def intensity_coefficients(self, x):
+        """Real b[n](x) with |amplitude|^2 = exp(-y^2/2 w0^2) sum_n b[n] y^n."""
+        p = [aj * 1j ** j for j, aj in enumerate(self._coefficients(x))]
+        l = len(p) - 1
+        return [sum(np.real(p[j] * np.conj(p[n - j]))
+                    for j in range(max(0, n - l), min(n, l) + 1))
+                for n in range(2 * l + 1)]
 
     def amplitude(self, x, y):
-        re, im, q = self._polynomial(x, y)
-        return (re + 1j * im) * np.exp(q)
+        a = self._coefficients(x)
+        y = np.asarray(y, dtype=float)
+        out = a[-1]
+        for coeff in reversed(a[:-1]):  # Horner in iy
+            out = out * (1j * y) + coeff
+        return out * np.exp(y * y * (-0.25 / self.probe.w0 ** 2))
 
     __call__ = amplitude
 
     def intensity(self, x, y):
-        re, im, q = self._polynomial(x, y)
-        re *= re
-        im *= im
-        re += im
-        re *= np.exp(2.0 * q)
-        return re
+        return _intensity(self.intensity_coefficients(x), y, self.probe.w0)
 
     def min_extent(self) -> float:
         """Full width that keeps the displaced annulus inside the window."""
@@ -122,16 +139,20 @@ class ComplexField:
 
 @dataclass(frozen=True, eq=False)
 class MixedField:
-    """Probability-weighted incoherent sum of post-selected pure fields."""
+    """Probability-weighted incoherent sum of post-selected pure fields,
+    evaluated as one real polynomial with weight-summed coefficients."""
 
     components: tuple  # of (weight, ComplexField)
     probe: ProbeConfig
     description: str
     weak_value: Optional[complex] = None
 
-    def intensity(self, x, y):
-        return sum(weight * comp.intensity(x, y)
-                   for weight, comp in self.components)
+    def intensity_coefficients(self, x):
+        parts = [[weight * b for b in comp.intensity_coefficients(x)]
+                 for weight, comp in self.components]
+        return [sum(bs) for bs in zip(*parts)]
+
+    intensity = ComplexField.intensity
 
     def min_extent(self) -> float:
         return max(comp.min_extent() for _, comp in self.components)
@@ -263,11 +284,12 @@ def exact_field_norm(cfg: ProbeConfig, state: QubitState) -> float:
     return float(abs(c1) ** 2 * _centroid_denominator(cfg, w))
 
 
-def _quadrature_grid(resolution: int, extent: float):
+def _quadrature_grid(field, resolution: int, extent: float):
+    """Midpoint axis, cell width and the intensity on the open grid
+    (axis[None, :], axis[:, None]): rows are y, columns x."""
     cell = extent / resolution
     axis = -extent / 2 + (np.arange(resolution) + 0.5) * cell
-    xg, yg = np.meshgrid(axis, axis, indexing="xy")
-    return xg, yg, cell
+    return axis, cell, field.intensity(axis[None, :], axis[:, None])
 
 
 def _check_truncation(intensity, mass, cell, w0, what):
@@ -297,13 +319,13 @@ def centroid_by_quadrature(field, resolution: int = 512,
         warnings.warn(
             f"extent {extent} below the recommended {field.min_extent():.3g}",
             TruncationWarning, stacklevel=2)
-    xg, yg, cell = _quadrature_grid(resolution, extent)
-    intensity = field.intensity(xg, yg)
+    axis, cell, intensity = _quadrature_grid(field, resolution, extent)
     total = intensity.sum()
     _check_truncation(intensity, total * cell * cell, cell, field.probe.w0,
                       "centroid_by_quadrature")
-    return (float((xg * intensity).sum() / total),
-            float((yg * intensity).sum() / total))
+    # first moments from the 1-D marginals
+    return (float(axis @ intensity.sum(axis=0) / total),
+            float(axis @ intensity.sum(axis=1) / total))
 
 
 def quadrature_norm(field, resolution: int = 512,
@@ -311,6 +333,5 @@ def quadrature_norm(field, resolution: int = 512,
     """Squared-magnitude integral of a field by midpoint-rule quadrature."""
     if extent is None:
         extent = 12.0 * field.probe.w0 + field.min_extent()
-    xg, yg, cell = _quadrature_grid(resolution, extent)
-    intensity = field.intensity(xg, yg)
+    _, cell, intensity = _quadrature_grid(field, resolution, extent)
     return float(intensity.sum() * cell * cell)

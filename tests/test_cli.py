@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from vortexscope.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK, main
+from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
+                             build_parser, main)
 from vortexscope.estimation import Calibration
 from vortexscope.imaging import read_image
 from vortexscope.polarization import QubitState
@@ -276,6 +277,26 @@ class TestTomo:
     def test_needs_two_planes(self, tmp_path):
         cfg = self.tomo_config(tmp_path, planes=[[0, 0, -1]])
         assert main(["tomo", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -1.0,
+                                    1e300, [1e6]],
+                         ids=["nan", "inf", "zero", "negative", "huge", "list"])
+@pytest.mark.parametrize("command", ["simulate", "tomo"])
+def test_bad_photon_budget_is_config_error(tmp_path, capsys, command, budget):
+    states = ({"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4}
+              if command == "tomo" else
+              {"kind": "explicit", "theta": np.pi / 2, "phi": 0.0})
+    cfg = base_config(tmp_path, states=states,
+                      postselections=[[0, 0, -1], [0, 0, 1]],
+                      noise={"photon_budget": budget, "seed": 1})
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "noise" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 class TestCentroidCheck:

@@ -91,6 +91,41 @@ class TestRender:
         rendered = render(field, sensor).pixels
         assert np.max(np.abs(rendered - pointwise)) <= 1e-14 * pointwise.max()
 
+    @pytest.mark.parametrize("make", [
+        lambda: exact_field(PROBE, QubitState(0.7, 2.0)),
+        lambda: mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4)),
+    ], ids=["exact", "mixed"])
+    @pytest.mark.parametrize("chunk, calls", [(None, 1), (5, 26), (128, 1)])
+    def test_one_intensity_call_per_chunk(self, make, chunk, calls):
+        field = make()
+
+        class Counting:
+            shapes = []
+
+            def __getattr__(self, name):
+                return getattr(field, name)
+
+            def intensity(self, x, y):
+                self.shapes.append(np.shape(y))
+                return field.intensity(x, y)
+
+        counting = Counting()
+        render(counting, fast_sensor(W0, pixels=128), rows_per_chunk=chunk)
+        assert len(counting.shapes) == calls
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_pixel_on_weak_limit_zero_is_nonnegative(self, l):
+        # rounding takes the intensity polynomial slightly below 0 at an
+        # exact zero for many states; the centre pixel sits on that zero
+        cfg = ProbeConfig(w0=W0, g=0.05, l=l)
+        for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
+            field = approx_field(cfg, QubitState(1.0, phi))
+            shift = field.terms[0][1]
+            sensor = SensorConfig(pixel_pitch=0.2, width=33, height=33,
+                                  center_offset=(shift.real, shift.imag))
+            pixels = render(field, sensor).pixels
+            assert 0 <= pixels[16, 16] <= 1e-15 * pixels.max()
+
     def test_truncation_warning_attached(self):
         small = SensorConfig(pixel_pitch=0.01, width=64, height=64)  # 0.64 mm fov
         with pytest.warns(TruncationWarning):
@@ -142,6 +177,11 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             add_shot_noise(self.img, 0.0, seed=1)
 
+    @pytest.mark.parametrize("budget", [-1.0, np.nan, np.inf, 1e300])
+    def test_unusable_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="photon budget"):
+            add_shot_noise(self.img, budget, seed=1)
+
 
 class TestImageIO:
     def setup_method(self):
@@ -164,6 +204,22 @@ class TestImageIO:
         peak = self.img.max_intensity()
         assert np.max(np.abs(back.pixels - self.img.pixels)) <= peak / 65535
         assert back.sensor == self.img.sensor
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                        np.asfortranarray], ids=["C", "F"])
+    def test_pgm_payload_is_rounded_scaled_pixels(self, tmp_path, layout):
+        img = IntensityImage(layout(self.img.pixels), self.img.sensor, {})
+        path = tmp_path / "img.pgm"
+        write_image(img, path)
+        scale = img.max_intensity() / 65535
+        expected = np.rint(img.pixels / scale).astype(">u2").tobytes()
+        assert path.read_bytes()[-len(expected):] == expected
+
+    def test_all_zero_pgm_roundtrips(self, tmp_path):
+        zero = IntensityImage(np.zeros((64, 64)), self.img.sensor, {})
+        write_image(zero, tmp_path / "zero.pgm")
+        back = read_image(tmp_path / "zero.pgm")
+        assert np.array_equal(back.pixels, zero.pixels)
 
     def test_negative_intensity_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

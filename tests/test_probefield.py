@@ -308,3 +308,14 @@ class TestMixedField:
         core = field.intensity(PROBE.g * w.real, PROBE.g * w.imag)
         ring = field.intensity(np.sqrt(2) * W0, 0.0)
         assert 0 < core < 0.02 * ring
+
+    def test_intensity_is_weighted_sum_of_components(self):
+        field = mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4),
+                                  BlochVector(0.0, np.sin(0.4), -np.cos(0.4)))
+        xs = np.linspace(-3 * W0, 3 * W0, 181)
+        xg, yg = np.meshgrid(xs, xs)
+        summed = sum(weight * comp.intensity(xg, yg)
+                     for weight, comp in field.components)
+        assert len(field.components) == 2
+        assert np.max(np.abs(field.intensity(xg, yg) - summed)) \
+            <= 1e-14 * summed.max()
