@@ -30,6 +30,9 @@ EXIT_ESTIMATION = 3
 EXIT_CHECK = 4
 
 MARGIN_WARN_THRESHOLD = 10.0
+# Noise seeds are below 2**64, so a seed plus a frame offset stays a valid
+# Philox key (below 2**128).
+MAX_SEED = 2 ** 64
 
 
 class ConfigError(ValueError):
@@ -138,7 +141,7 @@ def parse_noise(cfg: dict):
     try:
         return {"photon_budget": imaging.checked_photon_budget(
                     _require(noise, "photon_budget")),
-                "seed": int(noise.get("seed", 0))}
+                "seed": imaging.checked_seed(noise.get("seed", 0), MAX_SEED)}
     except (TypeError, ValueError) as bad:
         raise ConfigError(f"config field 'noise': {bad}") from None
 
@@ -214,7 +217,11 @@ def cmd_simulate(args) -> int:
                       for v in cfg.get("postselections", [[0, 0, -1]])]
     noise = parse_noise(cfg)
     if args.seed is not None:
-        noise = dict(noise or {"photon_budget": None}) | {"seed": args.seed}
+        try:
+            seed = imaging.checked_seed(args.seed, MAX_SEED)
+        except ValueError as bad:
+            raise ConfigError(f"--seed: {bad}") from None
+        noise = dict(noise or {"photon_budget": None}) | {"seed": seed}
         if noise["photon_budget"] is None:
             raise ConfigError("--seed given but config has no noise budget")
     mode = args.mode or cfg.get("mode", "exact")

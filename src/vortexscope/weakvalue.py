@@ -11,7 +11,7 @@ values are no longer projection points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class WeakValue:
 
     value: complex
     postselection: BlochVector = SOUTH_POLE
-    observable_axis: tuple = field(default=(1.0, 0.0, 0.0))
 
     def __post_init__(self):
         _check_postselection(self.postselection)

@@ -295,6 +295,28 @@ def test_bad_photon_budget_is_config_error(tmp_path, capsys, command, budget):
     assert "noise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64],
+                         ids=["negative", "fraction", "too-large"])
+@pytest.mark.parametrize("command", ["simulate", "tomo"])
+def test_bad_noise_seed_is_config_error(tmp_path, capsys, command, seed):
+    states = ({"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4}
+              if command == "tomo" else
+              {"kind": "explicit", "theta": np.pi / 2, "phi": 0.0})
+    cfg = base_config(tmp_path, states=states,
+                      postselections=[[0, 0, -1], [0, 0, 1]],
+                      noise={"photon_budget": 1e5, "seed": seed})
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "noise" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    cfg = base_config(tmp_path, noise={"photon_budget": 1e5, "seed": 3})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

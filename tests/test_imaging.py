@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vortexscope import imaging
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, add_shot_noise, fast_sensor,
                                  experiment_ccd, read_image, render, write_image)
@@ -182,6 +184,16 @@ class TestShotNoise:
         with pytest.raises(ValueError, match="photon budget"):
             add_shot_noise(self.img, budget, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 128, "7"])
+    def test_unusable_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            add_shot_noise(self.img, 1e4, seed=seed)
+
+    def test_seed_range_ends(self):
+        for seed in (0, np.int64(5), 2 ** 128 - 1):
+            assert add_shot_noise(self.img, 1e4, seed=seed) \
+                .provenance["noise"]["seed"] == seed
+
 
 class TestImageIO:
     def setup_method(self):
@@ -214,6 +226,21 @@ class TestImageIO:
         scale = img.max_intensity() / 65535
         expected = np.rint(img.pixels / scale).astype(">u2").tobytes()
         assert path.read_bytes()[-len(expected):] == expected
+
+    @pytest.mark.parametrize("height", [37, 2 * imaging._QUANTIZE_ROWS + 37])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                        np.asfortranarray], ids=["C", "F"])
+    def test_partial_row_block_payload(self, tmp_path, layout, height):
+        sensor = SensorConfig(pixel_pitch=0.1, width=100, height=height)
+        pixels = np.random.default_rng(5).exponential(size=(height, 100))
+        img = IntensityImage(layout(pixels), sensor, {})
+        path = tmp_path / "img.pgm"
+        write_image(img, path)
+        scale = img.max_intensity() / 65535
+        expected = np.rint(pixels / scale).astype(">u2").tobytes()
+        assert path.read_bytes()[-len(expected):] == expected
+        assert np.array_equal(read_image(path).pixels,
+                              np.rint(pixels / scale) * scale)
 
     def test_all_zero_pgm_roundtrips(self, tmp_path):
         zero = IntensityImage(np.zeros((64, 64)), self.img.sensor, {})
@@ -300,3 +327,32 @@ def test_image_rejects_non_finite_pixels(bad):
     pixels[3, 5] = bad
     with pytest.raises(ImageFormatError, match="NaN/inf"):
         IntensityImage(pixels, SensorConfig(pixel_pitch=0.1, width=16, height=16))
+
+
+def traced_peak(call):
+    """call() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFrameMemory:
+    MIB = 2 ** 20
+
+    def setup_method(self):
+        self.field = exact_field(PROBE, QubitState(0.7, 2.0),
+                                 BlochVector(0.0, np.sin(0.4), -np.cos(0.4)))
+
+    def test_render_allocates_one_frame(self):
+        img, peak = traced_peak(lambda: render(self.field, experiment_ccd()))
+        assert peak <= img.pixels.nbytes + self.MIB
+
+    def test_write_image_allocates_payload_and_one_block(self, tmp_path):
+        img = render(self.field, experiment_ccd())
+        _, peak = traced_peak(lambda: write_image(img, tmp_path / "img.pgm"))
+        payload = img.pixels.size * 2
+        block = imaging._QUANTIZE_ROWS * img.sensor.width * 8
+        assert peak <= payload + block + self.MIB

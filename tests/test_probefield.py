@@ -319,3 +319,41 @@ class TestMixedField:
         assert len(field.components) == 2
         assert np.max(np.abs(field.intensity(xg, yg) - summed)) \
             <= 1e-14 * summed.max()
+
+
+def horner_intensity(b, y, w0):
+    """Reference evaluator: Horner in y over the real coefficients on one
+    broadcast grid, clamped at 0, times the row Gaussian."""
+    y = np.asarray(y, dtype=float)
+    out = np.asarray(b[-1] * y)
+    out += b[-2]
+    for coeff in reversed(b[:-2]):
+        out *= y
+        out += coeff
+    np.maximum(out, 0.0, out=out)
+    out *= np.exp(y * y * (-0.5 / w0 ** 2))
+    return out
+
+
+class TestIntensityOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: exact_field(PROBE, QubitState(0.7, 2.0),
+                            BlochVector(0.0, np.sin(0.4), -np.cos(0.4))),
+        lambda: approx_field(ProbeConfig(w0=W0, g=0.05, l=2),
+                             QubitState(0.7, 2.0)),
+        lambda: approx_field(ProbeConfig(w0=W0, g=0.05, l=3),
+                             QubitState(1.1, -0.6)),
+        lambda: mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4),
+                                  BlochVector(0.0, np.sin(0.4), -np.cos(0.4))),
+    ], ids=["exact-tilted", "approx-l2", "approx-l3", "mixed"])
+    @pytest.mark.parametrize("grid", ["open", "meshgrid"])
+    def test_matches_horner_reference(self, make, grid):
+        field = make()
+        axis = np.linspace(-4 * W0, 4 * W0, 161)
+        x, y = ((axis[None, :], axis[:, None]) if grid == "open"
+                else np.meshgrid(axis, axis))
+        reference = horner_intensity(field.intensity_coefficients(x), y, W0)
+        intensity = field.intensity(x, y)
+        assert intensity.shape == reference.shape == (161, 161)
+        assert np.max(np.abs(intensity - reference)) \
+            <= 1e-14 * reference.max()
