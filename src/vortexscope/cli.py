@@ -30,9 +30,6 @@ EXIT_ESTIMATION = 3
 EXIT_CHECK = 4
 
 MARGIN_WARN_THRESHOLD = 10.0
-# Noise seeds are below 2**64, so a seed plus a frame offset stays a valid
-# Philox key (below 2**128).
-MAX_SEED = 2 ** 64
 
 
 class ConfigError(ValueError):
@@ -141,7 +138,7 @@ def parse_noise(cfg: dict):
     try:
         return {"photon_budget": imaging.checked_photon_budget(
                     _require(noise, "photon_budget")),
-                "seed": imaging.checked_seed(noise.get("seed", 0), MAX_SEED)}
+                "seed": imaging.checked_seed(noise.get("seed", 0))}
     except (TypeError, ValueError) as bad:
         raise ConfigError(f"config field 'noise': {bad}") from None
 
@@ -174,7 +171,7 @@ def _write_csv(path, header, rows, provenance=None):
                          for row in rows)
 
 
-def _simulate_image(probe, sensor, state, postselection, mode, noise, seed_offset=0):
+def _simulate_image(probe, sensor, state, postselection, mode, noise, frame):
     if mode == "exact":
         field = probefield.exact_field(probe, state, postselection)
     elif mode == "approx":
@@ -187,7 +184,7 @@ def _simulate_image(probe, sensor, state, postselection, mode, noise, seed_offse
                                          postselection.z]
     if noise is not None:
         image = imaging.add_shot_noise(image, noise["photon_budget"],
-                                       noise["seed"] + seed_offset)
+                                       noise["seed"], frame=frame)
     return image, field
 
 
@@ -218,7 +215,7 @@ def cmd_simulate(args) -> int:
     noise = parse_noise(cfg)
     if args.seed is not None:
         try:
-            seed = imaging.checked_seed(args.seed, MAX_SEED)
+            seed = imaging.checked_seed(args.seed)
         except ValueError as bad:
             raise ConfigError(f"--seed: {bad}") from None
         noise = dict(noise or {"photon_budget": None}) | {"seed": seed}
@@ -240,7 +237,7 @@ def cmd_simulate(args) -> int:
                       file=sys.stderr)
             image, _ = _simulate_image(probe, sensor, state, postselection,
                                        mode, noise,
-                                       seed_offset=index * len(postselections) + p_index)
+                                       frame=index * len(postselections) + p_index)
             image.provenance["config"] = cfg
             name = f"img_{index:04d}_{p_index}.pgm"
             imaging.write_image(image, out_dir / name)
@@ -333,7 +330,7 @@ def cmd_tomo(args) -> int:
         image = imaging.render(field, sensor, mode="mixture")
         if noise is not None:
             image = imaging.add_shot_noise(image, noise["photon_budget"],
-                                           noise["seed"] + p_index)
+                                           noise["seed"], frame=p_index)
         zip_est = estimation.extract_zip(
             image, threshold_fraction=args.threshold_fraction)
         observations.append((zip_est, calibration, postselection))

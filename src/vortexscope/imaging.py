@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -154,34 +156,73 @@ def checked_photon_budget(value) -> float:
     return budget
 
 
-def checked_seed(value, limit: int = 2 ** 128) -> int:
-    """value if it is an integer with 0 <= value < limit, else ValueError;
-    the default limit is the Philox key range."""
+def checked_seed(value) -> int:
+    """value if it is an integer with 0 <= value < 2**64, else ValueError."""
     try:
         seed = operator.index(value)
     except TypeError:
         raise ValueError(f"seed must be an integer, got {value!r}") from None
-    if not 0 <= seed < limit:
-        raise ValueError(f"seed must be at least 0 and below "
-                         f"2**{limit.bit_length() - 1}, got {seed}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be at least 0 and below 2**64, got {seed}")
     return seed
 
 
-def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int) -> IntensityImage:
+# Rows per shot-noise band.  Band b of frame f in run s draws from
+# Generator(SFC64(SeedSequence(s, spawn_key=(f, b)))), so the band height is
+# part of the output: changing it changes every noisy byte.
+_NOISE_ROWS = 64
+_noise_threads = None
+
+
+def _noise_pool() -> ThreadPoolExecutor:
+    """The module's band-drawing pool, built on first use with one worker
+    per CPU this process may run on."""
+    global _noise_threads
+    if _noise_threads is None:
+        _noise_threads = ThreadPoolExecutor(
+            max_workers=len(os.sched_getaffinity(0)),
+            thread_name_prefix="shot-noise")
+    return _noise_threads
+
+
+def _forget_noise_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _noise_threads
+    _noise_threads = None
+
+
+os.register_at_fork(after_in_child=_forget_noise_pool)
+
+
+def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
+                   frame: int = 0) -> IntensityImage:
     """Replace pixels by Poisson counts with expected total = photon_budget.
 
-    Counter-based Philox stream keyed by the seed makes the draw
-    deterministic; geometry and upstream provenance are untouched.
+    Frame `frame` of run `seed` draws on SeedSequence(seed,
+    spawn_key=(frame,)); that sequence is split into one SFC64 stream per
+    band of _NOISE_ROWS rows.  The bands are drawn in parallel (numpy's
+    sampler releases the GIL), and the counts depend only on (seed, frame,
+    band), never on the number of workers.  Geometry and upstream
+    provenance are untouched.
     """
     photon_budget = checked_photon_budget(photon_budget)
     seed = checked_seed(seed)
+    frame = operator.index(frame)
     total = img.pixels.sum()
     if total <= 0:
         raise ValueError("cannot scale a zero image to a photon budget")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = rng.poisson(img.pixels * (photon_budget / total)).astype(float)
+    counts = img.pixels * (photon_budget / total)
+    bands = range(0, img.sensor.height, _NOISE_ROWS)
+    streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(len(bands))
+
+    def draw(start, stream):
+        rows = counts[start:start + _NOISE_ROWS]
+        rows[...] = np.random.Generator(np.random.SFC64(stream)).poisson(rows)
+
+    list(_noise_pool().map(draw, bands, streams))
     provenance = dict(img.provenance)
-    provenance["noise"] = {"photon_budget": photon_budget, "seed": seed}
+    provenance["noise"] = {"photon_budget": photon_budget, "seed": seed,
+                           "frame": frame}
     return IntensityImage(counts, img.sensor, provenance)
 
 
@@ -294,53 +335,56 @@ def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
 
 def _read_pgm(path) -> IntensityImage:
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-    tokens = []
-    header_json = None
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise ImageFormatError(f"{path}: truncated header at byte {pos}")
-        end = data.find(b"\n", pos)
-        end = len(data) if end == -1 else end
-        line = data[pos:end]
-        pos = end + 1
-        if line.startswith(b"#"):
-            text = line[1:].strip()
-            if text.startswith(b"{"):
-                try:
-                    header_json = json.loads(text.decode())
-                except ValueError:
-                    raise ImageFormatError(
-                        f"{path}: provenance comment is not valid JSON") from None
-            continue
-        tokens.extend(line.split())
-    magic = tokens[0]
-    if magic != b"P5":
-        raise ImageFormatError(f"{path}: expected binary graymap magic P5, got {magic!r}")
-    try:
-        width, height, maxval = (int(token) for token in tokens[1:4])
-    except ValueError:
-        raise ImageFormatError(f"{path}: header width/height/maxval "
-                               "must be integers") from None
-    if maxval != _PGM_MAXVAL:
-        raise ImageFormatError(f"{path}: expected 16-bit maxval {_PGM_MAXVAL}, got {maxval}")
-    if header_json is None:
-        raise ImageFormatError(f"{path}: missing provenance comment")
-    expected = width * height * 2
-    payload = data[pos:pos + expected]
-    if len(payload) != expected:
-        raise ImageFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    raw = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    sensor = _sensor_from_header(header_json, path)
-    if (sensor.width, sensor.height) != (width, height):
-        raise ImageFormatError(
-            f"{path}: header geometry {sensor.width}x{sensor.height} "
-            f"does not match payload {width}x{height}")
+        tokens = []
+        header_json = None
+        while len(tokens) < 4:
+            line = fh.readline()
+            if not line:
+                raise ImageFormatError(
+                    f"{path}: truncated header at byte {fh.tell()}")
+            if line.startswith(b"#"):
+                text = line[1:].strip()
+                if text.startswith(b"{"):
+                    try:
+                        header_json = json.loads(text.decode())
+                    except ValueError:
+                        raise ImageFormatError(
+                            f"{path}: provenance comment is not valid JSON") from None
+                continue
+            tokens.extend(line.split())
+        magic = tokens[0]
+        if magic != b"P5":
+            raise ImageFormatError(
+                f"{path}: expected binary graymap magic P5, got {magic!r}")
+        try:
+            width, height, maxval = (int(token) for token in tokens[1:4])
+        except ValueError:
+            raise ImageFormatError(f"{path}: header width/height/maxval "
+                                   "must be integers") from None
+        if maxval != _PGM_MAXVAL:
+            raise ImageFormatError(
+                f"{path}: expected 16-bit maxval {_PGM_MAXVAL}, got {maxval}")
+        if header_json is None:
+            raise ImageFormatError(f"{path}: missing provenance comment")
+        sensor = _sensor_from_header(header_json, path)
+        if (sensor.width, sensor.height) != (width, height):
+            raise ImageFormatError(
+                f"{path}: header geometry {sensor.width}x{sensor.height} "
+                f"does not match payload {width}x{height}")
+        expected = width * height * 2
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
+            raise ImageFormatError(
+                f"{path}: payload is {available} bytes, expected {expected}")
+        # Read the payload straight into the array: it starts after a header
+        # of any length, so a view into the file's bytes could be unaligned.
+        raw = np.empty((height, width), dtype=">u2")
+        fh.readinto(raw)
     scale = _header_field(header_json, "intensity_scale", _finite, path, 1.0)
     provenance = _header_field(header_json, "provenance", _mapping, path, {})
-    return IntensityImage(raw.astype(float) * scale, sensor, provenance)
+    pixels = raw.astype(float)
+    pixels *= scale
+    return IntensityImage(pixels, sensor, provenance)
 
 
 def _read_csv(path) -> IntensityImage:

@@ -7,7 +7,7 @@ import pytest
 from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
                              build_parser, main)
 from vortexscope.estimation import Calibration
-from vortexscope.imaging import read_image
+from vortexscope.imaging import ImageFormatError, read_image
 from vortexscope.polarization import QubitState
 
 
@@ -85,6 +85,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
         for name in ("manifest.csv", "img_0000_0.pgm", "img_0002_0.pgm"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_adjacent_seeds_draw_distinct_noise(self, tmp_path):
+        cfg = base_config(tmp_path, postselections=[[0, 0, -1], [0, 0, -1]],
+                          noise={"photon_budget": 1e5, "seed": 0})
+        for seed in ("7", "8"):
+            assert main(["simulate", "--config", cfg, "--seed", seed,
+                         "--out", str(tmp_path / seed)]) == EXIT_OK
+        second = tmp_path / "7" / "img_0000_1.pgm"
+        first = tmp_path / "8" / "img_0000_0.pgm"
+        payload = 256 * 256 * 2
+        assert second.read_bytes()[-payload:] != first.read_bytes()[-payload:]
+        assert read_image(second).provenance["noise"]["frame"] == 1
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "bad.json",
@@ -209,6 +221,23 @@ class TestEstimate:
         error = csv_lines(out_csv)[1].split(",")[-1]
         assert error.startswith(f"error: {path}:")
         assert named in error
+
+    def test_short_pgm_payload_is_error_row(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", base_config(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        path = out / "img_0000_0.pgm"
+        path.write_bytes(path.read_bytes()[:-2])
+        expected = 256 * 256 * 2
+        message = f"payload is {expected - 2} bytes, expected {expected}"
+        with pytest.raises(ImageFormatError, match=message):
+            read_image(path)
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     str(path)]) == EXIT_ESTIMATION
+        (row,) = csv.DictReader(csv_lines(out_csv))
+        assert row["error"] == f"error: {path}: {message}"
 
     def test_error_with_comma_stays_in_its_column(self, tmp_path):
         ragged = tmp_path / "ragged.csv"

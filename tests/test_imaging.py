@@ -1,5 +1,8 @@
 import json
+import multiprocessing
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,7 +176,8 @@ class TestShotNoise:
         for key, value in self.img.provenance.items():
             if key != "noise":
                 assert noisy.provenance[key] == value
-        assert noisy.provenance["noise"] == {"photon_budget": 1e4, "seed": 1}
+        assert noisy.provenance["noise"] == {"photon_budget": 1e4, "seed": 1,
+                                             "frame": 0}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -184,15 +188,72 @@ class TestShotNoise:
         with pytest.raises(ValueError, match="photon budget"):
             add_shot_noise(self.img, budget, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 128, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64, 2 ** 128, "7"])
     def test_unusable_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             add_shot_noise(self.img, 1e4, seed=seed)
 
     def test_seed_range_ends(self):
-        for seed in (0, np.int64(5), 2 ** 128 - 1):
+        for seed in (0, np.int64(5), 2 ** 64 - 1):
             assert add_shot_noise(self.img, 1e4, seed=seed) \
                 .provenance["noise"]["seed"] == seed
+
+
+def banded_reference(img, budget, seed, frame):
+    """Serial draw of the documented scheme: band b of frame f in run s is
+    Generator(SFC64(SeedSequence(s, spawn_key=(f, b)))).poisson."""
+    mean = img.pixels * (budget / img.pixels.sum())
+    rows = imaging._NOISE_ROWS
+    bands = [np.random.Generator(np.random.SFC64(
+                 np.random.SeedSequence(seed, spawn_key=(frame, band))))
+             .poisson(mean[start:start + rows])
+             for band, start in enumerate(range(0, len(mean), rows))]
+    return np.concatenate(bands).astype(float)
+
+
+class TestNoiseStreams:
+    def setup_method(self):
+        # 150 rows: two full bands and a partial one
+        sensor = SensorConfig(pixel_pitch=8.0 / 128, width=128, height=150)
+        self.img = render(lg_field(PROBE), sensor)
+
+    @pytest.mark.parametrize("frame", [0, 5])
+    def test_default_pool_matches_serial_reference(self, frame):
+        noisy = add_shot_noise(self.img, 1e6, seed=11, frame=frame)
+        assert np.array_equal(noisy.pixels,
+                              banded_reference(self.img, 1e6, 11, frame))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_does_not_change_pixels(self, monkeypatch, workers):
+        default = add_shot_noise(self.img, 1e6, seed=11, frame=2).pixels
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the band writers finely
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(imaging, "_noise_threads", pool)
+                pooled = add_shot_noise(self.img, 1e6, seed=11, frame=2).pixels
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, default)
+        assert np.array_equal(pooled, banded_reference(self.img, 1e6, 11, 2))
+
+    def test_forked_child_draws_parent_bytes(self):
+        # the parent's pool exists before the fork; the child must not
+        # queue work on threads it did not inherit
+        expected = add_shot_noise(self.img, 1e5, seed=4, frame=1).pixels
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: send.send_bytes(
+            add_shot_noise(self.img, 1e5, seed=4, frame=1).pixels.tobytes()))
+        child.start()
+        try:
+            assert receive.poll(60), "forked child did not finish its draw"
+            assert receive.recv_bytes() == expected.tobytes()
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+            child.join()
 
 
 class TestImageIO:
@@ -356,3 +417,10 @@ class TestFrameMemory:
         payload = img.pixels.size * 2
         block = imaging._QUANTIZE_ROWS * img.sensor.width * 8
         assert peak <= payload + block + self.MIB
+
+    def test_add_shot_noise_allocates_output_and_one_band_per_worker(self):
+        img = render(self.field, experiment_ccd())
+        workers = imaging._noise_pool()._max_workers
+        noisy, peak = traced_peak(lambda: add_shot_noise(img, 1e6, seed=2))
+        band = imaging._NOISE_ROWS * img.sensor.width * 8
+        assert peak <= noisy.pixels.nbytes + workers * band + self.MIB
