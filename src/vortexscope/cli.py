@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 estimation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -40,6 +41,18 @@ class ConfigError(ValueError):
 # Configuration parsing
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _config_errors(subject: str):
+    """Re-raise a TypeError or ValueError from the block as a ConfigError
+    that names `subject`; a ConfigError passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as bad:
+        raise ConfigError(f"{subject}: {bad}") from None
+
+
 def _require(cfg: dict, field: str, kind=None):
     if field not in cfg:
         raise ConfigError(f"config field '{field}' is required")
@@ -51,12 +64,14 @@ def _require(cfg: dict, field: str, kind=None):
 
 def parse_probe(cfg: dict) -> probefield.ProbeConfig:
     probe = _require(cfg, "probe", dict)
-    try:
-        return probefield.ProbeConfig(w0=float(_require(probe, "w0_mm")),
-                                      g=float(_require(probe, "g_mm")),
-                                      l=int(probe.get("l", 1)))
-    except ValueError as bad:
-        raise ConfigError(f"config field 'probe': {bad}") from None
+    with _config_errors("config field 'probe'"):
+        parsed = probefield.ProbeConfig(w0=float(_require(probe, "w0_mm")),
+                                        g=float(_require(probe, "g_mm")),
+                                        l=int(probe.get("l", 1)))
+        # the weak-value reading and its margin need a displaced vortex
+        if not parsed.g > 0:
+            raise ValueError("coupling displacement g_mm must be positive")
+    return parsed
 
 
 def parse_sensor(cfg: dict, probe: probefield.ProbeConfig) -> imaging.SensorConfig:
@@ -67,32 +82,27 @@ def parse_sensor(cfg: dict, probe: probefield.ProbeConfig) -> imaging.SensorConf
     if sensor == "experiment-ccd":
         return imaging.experiment_ccd()
     if isinstance(sensor, dict):
-        try:
+        with _config_errors("config field 'sensor'"):
             return imaging.SensorConfig(
                 pixel_pitch=float(_require(sensor, "pixel_pitch_mm")),
                 width=int(_require(sensor, "width")),
                 height=int(_require(sensor, "height")),
                 center_offset=tuple(sensor.get("center_offset_mm", (0.0, 0.0))))
-        except (TypeError, ValueError) as bad:
-            raise ConfigError(f"config field 'sensor': {bad}") from None
     raise ConfigError(f"config field 'sensor': unknown preset {sensor!r}")
 
 
 def parse_postselection(value) -> BlochVector:
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"post-selection {value!r} is not a 3-vector") from None
-    if vec.shape != (3,):
-        raise ConfigError(f"post-selection {value!r} is not a 3-vector")
+    """Normalised post-selection from a 3-vector of outside input.  Raises
+    ValueError or TypeError; `weakvalue` decides whether the frame exists."""
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (3,) or not np.isfinite(vec).all():
+        raise ValueError(f"post-selection {value!r} is not a finite 3-vector")
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise ConfigError("post-selection vector must be nonzero")
-    vec = vec / norm
-    if abs(vec[0]) > 1e-9:
-        raise ConfigError(
-            "post-selection must be orthogonal to the x axis (x component 0)")
-    return BlochVector.from_array(vec)
+    if not norm >= 1e-12:
+        raise ValueError("post-selection vector must be nonzero")
+    postselection = BlochVector.from_array(vec / norm)
+    weakvalue.projection_frame(postselection)
+    return postselection
 
 
 def parse_states(cfg: dict):
@@ -103,29 +113,18 @@ def parse_states(cfg: dict):
     """
     source = _require(cfg, "states", dict)
     kind = _require(source, "kind", str)
-    if kind == "explicit":
-        theta = float(_require(source, "theta"))
-        phi = float(_require(source, "phi"))
-        try:
-            return "explicit", [QubitState(theta, phi)]
-        except ValueError as bad:
-            raise ConfigError(f"config field 'states': {bad}") from None
-    if kind == "bloch":
-        try:
-            vec = BlochVector(float(_require(source, "x")),
-                              float(_require(source, "y")),
-                              float(_require(source, "z")))
-        except ValueError as bad:
-            raise ConfigError(f"config field 'states': {bad}") from None
-        return "bloch", vec
-    if kind in ("equator", "infinity"):
-        steps = int(_require(source, "steps"))
-        try:
-            path = (polarization.equator_path(steps) if kind == "equator"
-                    else polarization.infinity_path(steps))
-        except ValueError as bad:
-            raise ConfigError(f"config field 'states': {bad}") from None
-        return kind, path
+    with _config_errors("config field 'states'"):
+        if kind == "explicit":
+            return "explicit", [QubitState(float(_require(source, "theta")),
+                                           float(_require(source, "phi")))]
+        if kind == "bloch":
+            return "bloch", BlochVector(float(_require(source, "x")),
+                                        float(_require(source, "y")),
+                                        float(_require(source, "z")))
+        if kind in ("equator", "infinity"):
+            steps = int(_require(source, "steps"))
+            return kind, (polarization.equator_path(steps) if kind == "equator"
+                          else polarization.infinity_path(steps))
     raise ConfigError(f"config field 'states.kind': unknown kind {kind!r}")
 
 
@@ -135,22 +134,23 @@ def parse_noise(cfg: dict):
         return None
     if not isinstance(noise, dict):
         raise ConfigError("config field 'noise' must be null or an object")
-    try:
+    with _config_errors("config field 'noise'"):
         return {"photon_budget": imaging.checked_photon_budget(
                     _require(noise, "photon_budget")),
                 "seed": imaging.checked_seed(noise.get("seed", 0))}
-    except (TypeError, ValueError) as bad:
-        raise ConfigError(f"config field 'noise': {bad}") from None
 
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as bad:
         raise ConfigError(f"config file {path} is not valid JSON: {bad}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +171,6 @@ def _write_csv(path, header, rows, provenance=None):
                          for row in rows)
 
 
-def _simulate_image(probe, sensor, state, postselection, mode, noise, frame):
-    if mode == "exact":
-        field = probefield.exact_field(probe, state, postselection)
-    elif mode == "approx":
-        field = probefield.approx_field(probe, state, postselection)
-    else:
-        raise ConfigError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    image = imaging.render(field, sensor, mode=mode)
-    image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
-    image.provenance["postselection"] = [postselection.x, postselection.y,
-                                         postselection.z]
-    if noise is not None:
-        image = imaging.add_shot_noise(image, noise["photon_budget"],
-                                       noise["seed"], frame=frame)
-    return image, field
-
-
-def _margin_of(state, probe, postselection) -> float:
-    try:
-        rotated = state.bloch().rotated_about_x(
-            -weakvalue.postselection_rotation_angle(postselection))
-        w = weakvalue.weak_value_pure(rotated.to_state())
-        return weakvalue.weak_condition_margin(w, probe)
-    except weakvalue.PoleStateError:
-        return 0.0
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -210,18 +183,20 @@ def cmd_simulate(args) -> int:
     if kind == "bloch":
         raise ConfigError("'simulate' expects pure states; use 'tomo' "
                           "for mixed-state scenarios")
-    postselections = [parse_postselection(v)
-                      for v in cfg.get("postselections", [[0, 0, -1]])]
+    with _config_errors("config field 'postselections'"):
+        postselections = [parse_postselection(v)
+                          for v in cfg.get("postselections", [[0, 0, -1]])]
     noise = parse_noise(cfg)
     if args.seed is not None:
-        try:
+        with _config_errors("--seed"):
             seed = imaging.checked_seed(args.seed)
-        except ValueError as bad:
-            raise ConfigError(f"--seed: {bad}") from None
         noise = dict(noise or {"photon_budget": None}) | {"seed": seed}
         if noise["photon_budget"] is None:
             raise ConfigError("--seed given but config has no noise budget")
     mode = args.mode or cfg.get("mode", "exact")
+    if mode not in ("exact", "approx"):
+        raise ConfigError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    build = probefield.exact_field if mode == "exact" else probefield.approx_field
     out_dir = Path(args.out or cfg.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -229,15 +204,24 @@ def cmd_simulate(args) -> int:
     rows = []
     for index, state in enumerate(states):
         for p_index, postselection in enumerate(postselections):
-            margin = _margin_of(state, probe, postselection)
+            with _config_errors(f"state {index}, post-selection {p_index}"):
+                field = build(probe, state, postselection)
+            # the weak value diverges at the pole: no margin to report
+            margin = (0.0 if field.weak_value is None else
+                      weakvalue.weak_condition_margin(field.weak_value, probe))
             if 0 < margin < margin_threshold:
                 print(f"WARNING: weak-condition margin {margin:.2f} < "
                       f"{margin_threshold} for state {index}; the "
                       "displaced-vortex reading is unreliable",
                       file=sys.stderr)
-            image, _ = _simulate_image(probe, sensor, state, postselection,
-                                       mode, noise,
-                                       frame=index * len(postselections) + p_index)
+            image = imaging.render(field, sensor, mode=mode)
+            image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
+            image.provenance["postselection"] = [postselection.x, postselection.y,
+                                                 postselection.z]
+            if noise is not None:
+                image = imaging.add_shot_noise(
+                    image, noise["photon_budget"], noise["seed"],
+                    frame=index * len(postselections) + p_index)
             image.provenance["config"] = cfg
             name = f"img_{index:04d}_{p_index}.pgm"
             imaging.write_image(image, out_dir / name)
@@ -260,14 +244,11 @@ def cmd_estimate(args) -> int:
     try:
         with open(args.cal) as fh:
             calibration = estimation.Calibration.from_json(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError) as bad:
+    except (KeyError, TypeError, ValueError) as bad:
         raise ConfigError(f"calibration file {args.cal}: {bad}") from None
-    try:
-        components = [float(t) for t in args.postselect.split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"--postselect must be 'x,y,z', got {args.postselect!r}") from None
-    postselection = parse_postselection(components)
+    with _config_errors("--postselect"):
+        postselection = parse_postselection(
+            [float(t) for t in args.postselect.split(",")])
     rows = []
     fidelities = []
     failures = 0
@@ -317,8 +298,9 @@ def cmd_tomo(args) -> int:
     kind, source = parse_states(cfg)
     if kind != "bloch":
         raise ConfigError("'tomo' expects a Bloch-vector state source")
-    postselections = [parse_postselection(v)
-                      for v in _require(cfg, "postselections", list)]
+    with _config_errors("config field 'postselections'"):
+        postselections = [parse_postselection(v)
+                          for v in _require(cfg, "postselections", list)]
     if len(postselections) < 2:
         raise ConfigError("'tomo' needs at least two post-selections")
     noise = parse_noise(cfg)
@@ -326,7 +308,8 @@ def cmd_tomo(args) -> int:
     calibration = estimation.Calibration(origin=(0.0, 0.0), scale=probe.g)
     observations = []
     for p_index, postselection in enumerate(postselections):
-        field = probefield.mixed_exact_field(probe, source, postselection)
+        with _config_errors(f"Bloch state at post-selection {p_index}"):
+            field = probefield.mixed_exact_field(probe, source, postselection)
         image = imaging.render(field, sensor, mode="mixture")
         if noise is not None:
             image = imaging.add_shot_noise(image, noise["photon_budget"],
@@ -334,11 +317,7 @@ def cmd_tomo(args) -> int:
         zip_est = estimation.extract_zip(
             image, threshold_fraction=args.threshold_fraction)
         observations.append((zip_est, calibration, postselection))
-    try:
-        result = estimation.reconstruct_mixed(observations)
-    except estimation.DegenerateGeometryError as bad:
-        print(f"estimation failed: {bad}", file=sys.stderr)
-        return EXIT_ESTIMATION
+    result = estimation.reconstruct_mixed(observations)
     report = {
         "bloch": [result.bloch.x, result.bloch.y, result.bloch.z],
         "residual_mm": result.residual,
@@ -475,9 +454,7 @@ def main(argv=None) -> int:
     except ConfigError as bad:
         print(f"config error: {bad}", file=sys.stderr)
         return EXIT_CONFIG
-    except (estimation.NoVortexError, estimation.AmbiguousVortexError,
-            estimation.NearPoleError, estimation.DegenerateGeometryError,
-            estimation.CalibrationError) as bad:
+    except estimation.EstimationError as bad:
         print(f"estimation failed: {bad}", file=sys.stderr)
         return EXIT_ESTIMATION
     except (imaging.ImageFormatError, OSError) as bad:

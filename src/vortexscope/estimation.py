@@ -12,15 +12,19 @@ from scipy import ndimage
 
 from .imaging import IntensityImage
 from .polarization import BlochVector, QubitState
-from .weakvalue import (SOUTH_POLE, X_AXIS, projection_frame,
-                        stereographic_invert, weak_value_pure)
+from .weakvalue import (SOUTH_POLE, projection_line, stereographic_invert,
+                        weak_value_pure)
 
 
-class NoVortexError(ValueError):
+class EstimationError(ValueError):
+    """Base of the failures to read a state off images or observations."""
+
+
+class NoVortexError(EstimationError):
     """No interior low-intensity component: the image shows no vortex core."""
 
 
-class AmbiguousVortexError(ValueError):
+class AmbiguousVortexError(EstimationError):
     """Several equal-size interior dark components; candidates attached."""
 
     def __init__(self, message, candidates):
@@ -28,15 +32,15 @@ class AmbiguousVortexError(ValueError):
         self.candidates = candidates
 
 
-class NearPoleError(ValueError):
+class NearPoleError(EstimationError):
     """Estimated weak value too large: the projection is ill-conditioned."""
 
 
-class DegenerateGeometryError(ValueError):
+class DegenerateGeometryError(EstimationError):
     """Reconstruction lines too close to parallel to intersect reliably."""
 
 
-class CalibrationError(ValueError):
+class CalibrationError(EstimationError):
     """Reference set insufficient to determine the calibration."""
 
 
@@ -65,10 +69,15 @@ class Calibration:
     orientation: float = 0.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("calibration scale must be positive")
-        object.__setattr__(self, "origin",
-                           (float(self.origin[0]), float(self.origin[1])))
+        if not 0 < self.scale < np.inf:
+            raise ValueError(
+                f"calibration scale must be positive and finite, got {self.scale}")
+        if not np.isfinite(self.orientation):
+            raise ValueError("calibration orientation must be finite")
+        origin = np.asarray(self.origin, dtype=float)
+        if origin.shape != (2,) or not np.isfinite(origin).all():
+            raise ValueError("calibration origin must be two finite numbers")
+        object.__setattr__(self, "origin", (float(origin[0]), float(origin[1])))
 
     def apply(self, w: complex):
         rot = complex(w) * np.exp(1j * self.orientation) * self.scale
@@ -205,8 +214,7 @@ def calibrate(references) -> tuple:
 
 def _reconstruction_line(w: complex, postselection: BlochVector):
     """Line through the projection pole and the plane point of w."""
-    pole, e_hat = projection_frame(postselection)
-    plane_point = w.real * X_AXIS - w.imag * e_hat
+    pole, plane_point = projection_line(w, postselection)
     direction = plane_point - pole
     return pole, direction / np.linalg.norm(direction)
 

@@ -34,7 +34,10 @@ class QubitState:
         if not 0.0 <= theta <= np.pi / 2 + 1e-15:
             raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
         theta = min(theta, np.pi / 2)
-        phi = float(self.phi) % (2 * np.pi)
+        phi = float(self.phi)
+        if not abs(phi) < np.inf:
+            raise ValueError(f"phi must be finite, got {phi}")
+        phi %= 2 * np.pi
         if theta < _POLE_TOL or (np.pi / 2 - theta) < _POLE_TOL:
             phi = 0.0
         object.__setattr__(self, "theta", theta)
@@ -73,7 +76,7 @@ class BlochVector:
     def __post_init__(self):
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.norm() > 1.0 + 1e-9:
+        if not self.norm() <= 1.0 + 1e-9:  # also refuses NaN components
             raise ValueError(f"Bloch vector outside the unit ball: |r|={self.norm()}")
 
     def as_array(self) -> np.ndarray:
@@ -104,11 +107,6 @@ class BlochVector:
         return cls(r[0], r[1], r[2])
 
 
-def state_from_angles(theta: float, phi: float) -> QubitState:
-    """Pure state from the (theta, phi) parametrization."""
-    return QubitState(theta, phi)
-
-
 def bloch_eigenstates(rho: BlochVector):
     """Eigendecomposition of the density operator with Bloch vector rho.
 
@@ -133,37 +131,22 @@ def _rotation(angle: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JonesOperator:
-    """2x2 operator together with the basis its matrix is written in."""
+    """2x2 operator with its matrix written in the circular basis."""
 
     matrix: np.ndarray
-    basis: str  # "linear" or "circular"
 
     def __post_init__(self):
-        if self.basis not in ("linear", "circular"):
-            raise ValueError(f"unknown basis {self.basis!r}")
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("Jones matrix must be 2x2")
         object.__setattr__(self, "matrix", m)
 
-    def in_basis(self, basis: str) -> "JonesOperator":
-        if basis == self.basis:
-            return JonesOperator(self.matrix.copy(), basis)
-        u = _LIN_TO_CIRC
-        if self.basis == "linear":  # -> circular
-            return JonesOperator(u @ self.matrix @ u.conj().T, "circular")
-        return JonesOperator(u.conj().T @ self.matrix @ u, "linear")
-
     def is_unitary(self, tol: float = 1e-12) -> bool:
         dev = self.matrix @ self.matrix.conj().T - np.eye(2)
         return bool(np.max(np.abs(dev)) <= tol)
 
-    def __matmul__(self, other: "JonesOperator") -> "JonesOperator":
-        return JonesOperator(self.matrix @ other.in_basis(self.basis).matrix,
-                             self.basis)
 
-
-def wave_plate(retardance: float, angle: float, basis: str = "circular") -> JonesOperator:
+def wave_plate(retardance: float, angle: float) -> JonesOperator:
     """Linear retarder with the given fast-axis angle from horizontal.
 
     The slow axis acquires phase e^{-i retardance}; this sign choice makes a
@@ -172,19 +155,19 @@ def wave_plate(retardance: float, angle: float, basis: str = "circular") -> Jone
     """
     r = _rotation(angle)
     lin = r @ np.diag([1.0, np.exp(-1j * retardance)]) @ r.T
-    return JonesOperator(lin, "linear").in_basis(basis)
+    return JonesOperator(_LIN_TO_CIRC @ lin @ _LIN_TO_CIRC.conj().T)
 
 
-def half_wave_plate(angle: float, basis: str = "circular") -> JonesOperator:
-    return wave_plate(np.pi, angle, basis)
+def half_wave_plate(angle: float) -> JonesOperator:
+    return wave_plate(np.pi, angle)
 
 
-def quarter_wave_plate(angle: float, basis: str = "circular") -> JonesOperator:
-    return wave_plate(np.pi / 2, angle, basis)
+def quarter_wave_plate(angle: float) -> JonesOperator:
+    return wave_plate(np.pi / 2, angle)
 
 
 def apply_jones(op: JonesOperator, state: QubitState) -> QubitState:
-    out = op.in_basis("circular").matrix @ state.amplitudes()
+    out = op.matrix @ state.amplitudes()
     return QubitState.from_amplitudes(out[0], out[1])
 
 

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .polarization import BlochVector, QubitState, bloch_eigenstates
-from .weakvalue import (SOUTH_POLE, PoleStateError,
-                        postselection_rotation_angle, weak_value_pure)
+from .weakvalue import (SOUTH_POLE, PoleStateError, rotate_to_south,
+                        weak_value_mixed, weak_value_pure)
 
 # Sign of the intensity-centroid y coordinate relative to Im(w), fixed once by
 # the quadrature oracle: the centroid sits on the opposite side of the x axis
@@ -181,13 +181,6 @@ def lg_amplitude(cfg: ProbeConfig, x, y):
     return lg_field(cfg).amplitude(x, y)
 
 
-def _rotate_to_south(state: QubitState, postselection: BlochVector) -> QubitState:
-    beta = postselection_rotation_angle(postselection)
-    if beta == 0.0:
-        return state
-    return state.bloch().rotated_about_x(-beta).to_state()
-
-
 def exact_field(cfg: ProbeConfig, state: QubitState,
                 postselection: BlochVector = SOUTH_POLE) -> ComplexField:
     """Post-selected field without the weak approximation.  Requires l = 1.
@@ -203,7 +196,7 @@ def exact_field(cfg: ProbeConfig, state: QubitState,
     """
     if cfg.l != 1:
         raise ValueError("the exact post-selected field is defined for l = 1")
-    work_state = _rotate_to_south(state, postselection)
+    work_state = rotate_to_south(state, postselection)
     try:
         w = weak_value_pure(work_state).value
     except PoleStateError:
@@ -229,7 +222,7 @@ def approx_field(cfg: ProbeConfig, state: QubitState,
     The squared magnitude is the displaced-vortex intensity whose zero sits
     at (G Re w, G Im w).  Valid for any vortex charge l >= 1.
     """
-    work_state = _rotate_to_south(state, postselection)
+    work_state = rotate_to_south(state, postselection)
     w = weak_value_pure(work_state).value  # raises at the theta = 0 pole
     c1 = work_state.amplitudes()[1]
     return ComplexField(((c1, cfg.g * w),), cfg, "approx", weak_value=w)
@@ -244,8 +237,6 @@ def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,
                       postselection: BlochVector = SOUTH_POLE) -> MixedField:
     """Post-selected intensity of a mixed state as a weighted sum of the
     exact pure-component intensities (eigendecomposition of rho)."""
-    from .weakvalue import weak_value_mixed
-
     components = []
     for weight, axis in bloch_eigenstates(rho):
         if weight < 1e-15:

@@ -7,6 +7,10 @@ state from the pole p = -f onto the plane through the origin spanned by
 x_hat and e_hat = p x x_hat (real part along x_hat, imaginary part along
 -e_hat).  Post-selections with a component along x are rejected: their weak
 values are no longer projection points.
+
+This module owns the post-selection frame: the orthogonality check, the
+rotation about x onto |1>, and the plane spanned by x_hat and e_hat.  Other
+modules ask it for these rather than deriving them.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ class ZeroPostselectionError(ValueError):
 
 def _check_postselection(postselection: BlochVector) -> np.ndarray:
     f = postselection.as_array()
-    if abs(np.linalg.norm(f) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:
         raise ValueError("post-selection Bloch vector must have unit norm")
-    if abs(f @ X_AXIS) > _ORTHO_TOL:
+    if not abs(f @ X_AXIS) <= _ORTHO_TOL:
         raise ValueError(
             "post-selection must be orthogonal to the observable (x) axis "
             "for the projection reading to hold")
@@ -54,14 +58,28 @@ def projection_frame(postselection: BlochVector):
     return p, e_hat
 
 
-def postselection_rotation_angle(postselection: BlochVector) -> float:
-    """Angle beta such that rotating the south pole by beta about x gives f.
+def projection_line(w: complex, postselection: BlochVector):
+    """Pole p = -f and the plane point Re(w) x_hat - Im(w) e_hat of the
+    projection point w; the line through them holds every Bloch vector,
+    pure or mixed, whose projection is w."""
+    p, e_hat = projection_frame(postselection)
+    return p, w.real * X_AXIS - w.imag * e_hat
 
-    Rotating a scene's Bloch vectors by -beta about x maps the post-selection
-    onto |1>, reducing any allowed post-selection to the south-pole formulas.
+
+def rotate_to_south(state: QubitState, postselection: BlochVector) -> QubitState:
+    """The state in the frame where the post-selection f is |1>.
+
+    With beta such that rotating the south pole by beta about x gives f,
+    the state's Bloch vector is rotated by -beta about x.  The rotation
+    commutes with the sigma_x coupling, so any allowed post-selection
+    reduces to the south-pole formulas; at the south pole itself the state
+    is returned unchanged.
     """
     f = _check_postselection(postselection)
-    return float(np.arctan2(f[1], -f[2]))
+    beta = float(np.arctan2(f[1], -f[2]))
+    if beta == 0.0:
+        return state
+    return state.bloch().rotated_about_x(-beta).to_state()
 
 
 @dataclass(frozen=True)
@@ -131,8 +149,7 @@ def stereographic_invert(point: complex, postselection: BlochVector = SOUTH_POLE
     w = complex(point)
     if not np.isfinite(w.real) or not np.isfinite(w.imag):
         raise ValueError("projection point must be finite")
-    p, e_hat = projection_frame(postselection)
-    q = w.real * X_AXIS - w.imag * e_hat
+    p, q = projection_line(w, postselection)
     t = 2.0 / (1.0 + abs(w) ** 2)
     return BlochVector.from_array((1.0 - t) * p + t * q)
 
@@ -147,9 +164,3 @@ def weak_condition_margin(w, probe) -> float:
         raise ValueError("margin requires a positive coupling displacement")
     value = w.value if isinstance(w, WeakValue) else complex(w)
     return float((probe.w0 / probe.g) / max(1.0, abs(value)))
-
-
-def weak_value_csv_row(w: WeakValue):
-    """CSV serialization (re, im, postselect_x, postselect_y, postselect_z)."""
-    f = w.postselection
-    return (w.value.real, w.value.imag, f.x, f.y, f.z)

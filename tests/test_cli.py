@@ -252,6 +252,29 @@ class TestEstimate:
         assert row["error"] == (f"error: {ragged}: ragged rows with "
                                 "widths [2, 3]")
 
+    @pytest.mark.parametrize("calibration", [
+        {"origin_mm": [0.0, 0.0], "scale_mm": float("nan")},
+        {"origin_mm": [0.0, 0.0], "scale_mm": 0.0},
+        {"origin_mm": [0.0], "scale_mm": 0.05}],
+        ids=["nan-scale", "zero-scale", "short-origin"])
+    def test_bad_calibration_is_config_error(self, tmp_path, capsys,
+                                             calibration):
+        cal = write_json(tmp_path / "cal.json", calibration)
+        assert main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
+                     "--out", str(tmp_path / "est.csv"),
+                     str(tmp_path / "nope.pgm")]) == EXIT_CONFIG
+        assert f"calibration file {cal}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("postselect", ["0,inf,0", "0,nan,-1"])
+    def test_nonfinite_postselect_is_config_error(self, tmp_path, capsys,
+                                                  postselect):
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", postselect, "--out", str(out_csv),
+                     str(tmp_path / "nope.pgm")]) == EXIT_CONFIG
+        assert "--postselect" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_all_failures_exit_nonzero(self, tmp_path):
         cal = write_calibration(tmp_path)
         assert main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
@@ -337,6 +360,52 @@ def test_bad_noise_seed_is_config_error(tmp_path, capsys, command, seed):
     assert main([command, "--config", cfg, "--out",
                  str(tmp_path / "o")]) == EXIT_CONFIG
     assert "noise" in capsys.readouterr().err
+
+
+ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
+
+
+@pytest.mark.parametrize("command, overrides, flags, named", [
+    ("simulate", ZERO_COUPLING, [], "'probe'"),
+    ("tomo", ZERO_COUPLING, [], "'probe'"),
+    ("simulate", {"postselections": [[0, float("nan"), -1]]}, [],
+     "'postselections'"),
+    ("tomo", {"postselections": [[0, 0, -1], [0, float("inf"), 0]]}, [],
+     "'postselections'"),
+    ("simulate", {"postselections": 5}, [], "'postselections'"),
+    ("simulate", {"states": {"kind": "explicit", "theta": 0.0, "phi": 0.0}},
+     ["--mode", "approx"], "state 0, post-selection 0"),
+    ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2},
+                  "mode": "exact"}, [], "state 0, post-selection 0"),
+    ("simulate", {"states": {"kind": "equator", "steps": "x"}}, [], "'states'"),
+    ("simulate", {"states": {"kind": "explicit", "theta": "a", "phi": 0.0}},
+     [], "'states'"),
+    ("simulate", {"states": {"kind": "explicit", "theta": 1.0,
+                             "phi": float("nan")}}, [], "'states'"),
+    ("tomo", {"states": {"kind": "bloch", "x": float("nan"), "y": 0.0,
+                         "z": 0.0}}, [], "'states'"),
+    ("tomo", {"states": {"kind": "bloch", "x": 0.0, "y": 0.0, "z": 1.0}}, [],
+     "Bloch state at post-selection 0"),
+], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
+        "tomo-inf-postselection", "postselections-not-a-list",
+        "approx-at-pole", "exact-with-l2", "steps-not-a-number",
+        "theta-not-a-number", "nan-phi", "nan-bloch", "state-at-pole"])
+def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
+                                      flags, named):
+    scenario = ({"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
+                 "postselections": [[0, 0, -1], [0, 0, 1]]}
+                if command == "tomo" else {})
+    cfg = base_config(tmp_path, **(scenario | overrides))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                 *flags]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomo"])
+def test_config_must_be_an_object(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "config.json", 5)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):

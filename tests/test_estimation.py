@@ -4,7 +4,8 @@ from scipy import ndimage
 
 from vortexscope.estimation import (AmbiguousVortexError, Calibration,
                                     CalibrationError,
-                                    DegenerateGeometryError, NearPoleError,
+                                    DegenerateGeometryError, EstimationError,
+                                    NearPoleError,
                                     NoVortexError, ZipEstimate, calibrate,
                                     estimate_state, extract_zip,
                                     reconstruct_mixed)
@@ -224,6 +225,15 @@ class TestCalibration:
         with pytest.raises(ValueError):
             Calibration(scale=0.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"scale": np.nan}, {"scale": np.inf}, {"orientation": np.nan},
+        {"origin": (0.0,)}, {"origin": (np.nan, 0.0)}],
+        ids=["nan-scale", "inf-scale", "nan-orientation", "short-origin",
+             "nan-origin"])
+    def test_rejects_nonfinite_or_malformed_fields(self, fields):
+        with pytest.raises(ValueError, match="calibration"):
+            Calibration(**fields)
+
     def test_json_roundtrip(self):
         cal = Calibration(origin=(0.1, 0.2), scale=0.05, orientation=-0.3)
         assert Calibration.from_json(cal.to_json()) == cal
@@ -377,6 +387,13 @@ class TestReconstructMixed:
             observations.append((ZipEstimate(pos, 1, 1.0), IDENTITY_CAL, f))
         result = reconstruct_mixed(observations)
         assert np.linalg.norm(result.bloch.as_array()) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("error", [NoVortexError, AmbiguousVortexError,
+                                   NearPoleError, DegenerateGeometryError,
+                                   CalibrationError])
+def test_estimation_errors_share_one_base(error):
+    assert issubclass(error, EstimationError)
 
 
 def test_zip_estimate_validation():

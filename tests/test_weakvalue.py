@@ -8,7 +8,7 @@ from vortexscope.weakvalue import (SOUTH_POLE, PointAtInfinityError,
                                    ZeroPostselectionError,
                                    stereographic_invert,
                                    stereographic_project,
-                                   weak_condition_margin, weak_value_csv_row,
+                                   weak_condition_margin,
                                    weak_value_mixed, weak_value_pure)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -218,8 +218,3 @@ class TestWeakConditionMargin:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
             weak_condition_margin(WeakValue(1.0), ProbeConfig(w0=1.0, g=0.0))
-
-
-def test_csv_row():
-    w = WeakValue(0.3 - 0.7j, BlochVector(0, 1, 0))
-    assert weak_value_csv_row(w) == pytest.approx((0.3, -0.7, 0.0, 1.0, 0.0))
