@@ -17,6 +17,7 @@ import contextlib
 import csv
 import functools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -62,12 +63,31 @@ def _require(cfg: dict, field: str, kind=None):
     return value
 
 
+def _integer(section: dict, field: str, default=None) -> int:
+    """An integer config field, by the rule `imaging.checked_seed` applies:
+    a fraction, a string or a whole float such as 2.0 is an error."""
+    value = (section.get(field, default) if default is not None
+             else _require(section, field))
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"'{field}' must be an integer, got {value!r}") from None
+
+
+def threshold_fraction(text: str) -> float:
+    """argparse type of --threshold-fraction: a number in (0, 0.5)."""
+    value = float(text)
+    if not 0.0 < value < 0.5:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must lie in (0, 0.5), got {text}")
+    return value
+
+
 def parse_probe(cfg: dict) -> probefield.ProbeConfig:
     probe = _require(cfg, "probe", dict)
     with _config_errors("config field 'probe'"):
         parsed = probefield.ProbeConfig(w0=float(_require(probe, "w0_mm")),
                                         g=float(_require(probe, "g_mm")),
-                                        l=int(probe.get("l", 1)))
+                                        l=_integer(probe, "l", default=1))
         # the weak-value reading and its margin need a displaced vortex
         if not parsed.g > 0:
             raise ValueError("coupling displacement g_mm must be positive")
@@ -85,8 +105,8 @@ def parse_sensor(cfg: dict, probe: probefield.ProbeConfig) -> imaging.SensorConf
         with _config_errors("config field 'sensor'"):
             return imaging.SensorConfig(
                 pixel_pitch=float(_require(sensor, "pixel_pitch_mm")),
-                width=int(_require(sensor, "width")),
-                height=int(_require(sensor, "height")),
+                width=_integer(sensor, "width"),
+                height=_integer(sensor, "height"),
                 center_offset=tuple(sensor.get("center_offset_mm", (0.0, 0.0))))
     raise ConfigError(f"config field 'sensor': unknown preset {sensor!r}")
 
@@ -122,7 +142,7 @@ def parse_states(cfg: dict):
                                         float(_require(source, "y")),
                                         float(_require(source, "z")))
         if kind in ("equator", "infinity"):
-            steps = int(_require(source, "steps"))
+            steps = _integer(source, "steps")
             return kind, (polarization.equator_path(steps) if kind == "equator"
                           else polarization.infinity_path(steps))
     raise ConfigError(f"config field 'states.kind': unknown kind {kind!r}")
@@ -421,16 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--cal", required=True, help="calibration JSON file")
     p_est.add_argument("--postselect", required=True,
                        help="post-selection Bloch vector 'x,y,z'")
-    p_est.add_argument("--threshold-fraction", type=float, default=0.01,
-                       dest="threshold_fraction")
+    p_est.add_argument("--threshold-fraction", type=threshold_fraction,
+                       default=0.01, dest="threshold_fraction")
     p_est.add_argument("--out", default=None)
     p_est.add_argument("images", nargs="+")
     p_est.set_defaults(func=cmd_estimate)
 
     p_tomo = sub.add_parser("tomo", help="mixed-state reconstruction")
     p_tomo.add_argument("--config", required=True)
-    p_tomo.add_argument("--threshold-fraction", type=float, default=0.01,
-                        dest="threshold_fraction")
+    p_tomo.add_argument("--threshold-fraction", type=threshold_fraction,
+                        default=0.01, dest="threshold_fraction")
     p_tomo.add_argument("--out", default=None)
     p_tomo.set_defaults(func=cmd_tomo)
 

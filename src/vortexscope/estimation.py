@@ -115,9 +115,19 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     Pixels at or below threshold_fraction * max form 4-connected candidate
     regions; the largest region not touching the border (the beam's dark
     exterior always touches it) is averaged with weights
-    (threshold - intensity), so the darkest pixels dominate.  Region sizes
-    come from one bincount over the dark pixels' labels, and the average runs
-    over the winner's pixels only, through the 1-D sensor axes.
+    (threshold - intensity), so the darkest pixels dominate.
+
+    Only a band of rows is labelled.  A row is inner when it holds more dark
+    pixels than its dark runs from the left and to the right edge; those
+    runs reach the border along the row, so every interior region lies in
+    the inner rows.  The band adds one row above and below them, and a band
+    region touching its first or last row joins the exterior.  Per-row
+    counts come from the sorted dark-pixel indices, the left run from
+    argmin, and the dark pixels past the left run are all in the right run
+    iff the first of them sits that many columns from the right edge.
+    Region sizes come from one bincount over the band's dark pixels' labels,
+    and the average runs over the winner's pixels only, through the 1-D
+    sensor axes.
     """
     if not 0.0 < threshold_fraction < 0.5:
         raise ValueError("threshold_fraction must lie in (0, 0.5)")
@@ -127,19 +137,33 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
         raise NoVortexError("image has no positive intensity")
     threshold = threshold_fraction * peak
     dark = pixels <= threshold
-    labels, count = ndimage.label(dark)
-    if count == 0:
+    flat = np.flatnonzero(dark)
+    if flat.size == 0:
         raise NoVortexError("no pixels below threshold")
-    flat = np.flatnonzero(dark)  # dark pixels only: lit label 0 has size 0
+    height, width = dark.shape
+    starts = np.searchsorted(flat, np.arange(height + 1) * width)
+    per_row = np.diff(starts)
+    left = dark.argmin(axis=1)  # dark run from the left edge; 0 if all dark
+    rest = per_row - left
+    beyond = np.flatnonzero(rest)
+    first = flat[starts[beyond] + left[beyond]]
+    inner = beyond[first != (beyond + 1) * width - rest[beyond]]
+    if inner.size == 0:
+        raise NoVortexError("no interior low-intensity component found")
+    top, stop = max(inner[0] - 1, 0), min(inner[-1] + 2, height)
+    labels = np.zeros(dark.shape, np.int32)
+    band = labels[top:stop]
+    count = ndimage.label(dark[top:stop], output=band)
+    flat = flat[starts[top]:starts[stop]]  # band pixels: lit label 0 has size 0
     flat_labels = labels.ravel()[flat]
     sizes = np.bincount(flat_labels, minlength=count + 1)
-    for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+    for edge in (band[0], band[-1], band[:, 0], band[:, -1]):
         sizes[edge] = 0
     best_size = sizes.max()
     if best_size == 0:
         raise NoVortexError("no interior low-intensity component found")
     ties = np.flatnonzero(sizes == best_size)[::-1]
-    members = [np.divmod(flat[flat_labels == k], pixels.shape[1]) for k in ties]
+    members = [np.divmod(flat[flat_labels == k], width) for k in ties]
     xs, ys = img.sensor.axes()
     if len(ties) > 1:
         candidates = [(float(xs[cols].mean()), float(ys[rows].mean()))

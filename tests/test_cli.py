@@ -378,6 +378,16 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
     ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2},
                   "mode": "exact"}, [], "state 0, post-selection 0"),
     ("simulate", {"states": {"kind": "equator", "steps": "x"}}, [], "'states'"),
+    ("simulate", {"states": {"kind": "equator", "steps": 2.9}}, [],
+     "'steps' must be an integer"),
+    ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 1.7}}, [],
+     "'l' must be an integer"),
+    ("tomo", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2.0}}, [],
+     "'l' must be an integer"),
+    ("simulate", {"sensor": {"pixel_pitch_mm": 0.03, "width": 32.9,
+                             "height": 256}}, [], "'width' must be an integer"),
+    ("tomo", {"sensor": {"pixel_pitch_mm": 0.03, "width": 256,
+                         "height": "256"}}, [], "'height' must be an integer"),
     ("simulate", {"states": {"kind": "explicit", "theta": "a", "phi": 0.0}},
      [], "'states'"),
     ("simulate", {"states": {"kind": "explicit", "theta": 1.0,
@@ -389,6 +399,8 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
 ], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
         "tomo-inf-postselection", "postselections-not-a-list",
         "approx-at-pole", "exact-with-l2", "steps-not-a-number",
+        "fractional-steps", "fractional-l", "whole-float-l", "fractional-width",
+        "string-height",
         "theta-not-a-number", "nan-phi", "nan-bloch", "state-at-pole"])
 def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
                                       flags, named):
@@ -434,3 +446,16 @@ class TestCentroidCheck:
 
     def test_unknown_config_file(self, capsys):
         assert main(["centroid-check", "--grid", "no-such.json"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ["0.7", "0.5", "0", "-0.1", "nan"])
+@pytest.mark.parametrize("command", ["estimate", "tomo"])
+def test_bad_threshold_fraction_is_usage_error(tmp_path, capsys, command,
+                                               value):
+    args = (["estimate", "--cal", write_calibration(tmp_path),
+             "--postselect", "0,0,-1", "img.pgm"] if command == "estimate"
+            else ["tomo", "--config", base_config(tmp_path)])
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--threshold-fraction", value])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "--threshold-fraction" in capsys.readouterr().err

@@ -191,6 +191,22 @@ def test_extract_zip_matches_full_frame_reference(frame):
     assert new.position == pytest.approx(ref.position, abs=1e-12)
 
 
+def test_clean_ccd_frame_labels_only_the_core_rows(monkeypatch):
+    sensor = experiment_ccd()
+    img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), sensor)
+    label = ndimage.label
+    masks = []
+
+    def spy(mask, *args, **kwargs):
+        masks.append(mask.shape)
+        return label(mask, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", spy)
+    extract_zip(img, threshold_fraction=0.01)
+    assert len(masks) == 1
+    assert masks[0][0] < 0.1 * sensor.height
+
+
 class TestEstimateState:
     def test_origin_is_south_pole(self):
         zip_est = ZipEstimate((0.0, 0.0), 5, 0.1)

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
-from vortexscope.estimation import Calibration, ZipEstimate, reconstruct_mixed
+from vortexscope.estimation import (AmbiguousVortexError, Calibration,
+                                    EstimationError, NoVortexError,
+                                    ZipEstimate, extract_zip,
+                                    reconstruct_mixed)
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, read_image, write_image)
 from vortexscope.polarization import BlochVector, QubitState
@@ -127,3 +132,150 @@ def test_fuzzed_pgm_header_raises_only_image_format_error(
     except ImageFormatError:
         return
     assert image.pixels.shape == (image.sensor.height, image.sensor.width)
+
+
+# ---------------------------------------------------------------------------
+# extract_zip against a reference that labels every row
+# ---------------------------------------------------------------------------
+
+def whole_frame_extract_zip(img, threshold_fraction=0.01):
+    """extract_zip with one label pass over the whole frame: the same
+    bincount sizes, border rule, tie order and raster-order sums."""
+    pixels = img.pixels
+    peak = pixels.max()
+    if peak <= 0:
+        raise NoVortexError("image has no positive intensity")
+    threshold = threshold_fraction * peak
+    dark = pixels <= threshold
+    labels, count = ndimage.label(dark)
+    if count == 0:
+        raise NoVortexError("no pixels below threshold")
+    flat = np.flatnonzero(dark)
+    flat_labels = labels.ravel()[flat]
+    sizes = np.bincount(flat_labels, minlength=count + 1)
+    for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+        sizes[edge] = 0
+    best_size = sizes.max()
+    if best_size == 0:
+        raise NoVortexError("no interior low-intensity component found")
+    ties = np.flatnonzero(sizes == best_size)[::-1]
+    members = [np.divmod(flat[flat_labels == k], pixels.shape[1]) for k in ties]
+    xs, ys = img.sensor.axes()
+    if len(ties) > 1:
+        raise AmbiguousVortexError(
+            f"{len(ties)} equal-size dark components",
+            [(float(xs[cols].mean()), float(ys[rows].mean()))
+             for rows, cols in members])
+    rows, cols = members[0]
+    weights = threshold - pixels[rows, cols]
+    total = weights.sum()
+    if total <= 0:
+        weights, total = np.ones(rows.size), rows.size
+    return ZipEstimate(position=(float((xs[cols] * weights).sum() / total),
+                                 float((ys[rows] * weights).sum() / total)),
+                       pixel_count_used=int(rows.size),
+                       threshold_used=float(threshold))
+
+
+def zip_outcome(extract, img):
+    """Everything a caller can see of one extraction, exactly."""
+    try:
+        found = extract(img)
+    except EstimationError as bad:
+        return (type(bad), str(bad), getattr(bad, "candidates", None))
+    return (found.position, found.pixel_count_used, found.threshold_used)
+
+
+def masked_frame(dark, seed=0):
+    """Frame with peak 1 whose pixels at or below the 0.01 threshold are
+    `dark`; dark intensities vary, some sit exactly at the threshold."""
+    rng = np.random.default_rng(seed)
+    levels = rng.choice([0.0, 0.002, 0.007, 0.01], size=dark.shape)
+    pixels = np.where(dark, levels, 1.0)
+    height, width = dark.shape
+    return IntensityImage(pixels, SensorConfig(0.1, width, height))
+
+
+def assert_matches_whole_frame(img):
+    outcome = zip_outcome(extract_zip, img)
+    assert outcome == zip_outcome(whole_frame_extract_zip, img)
+    return outcome
+
+
+shapes = st.tuples(st.integers(16, 40), st.integers(16, 40))
+
+
+@st.composite
+def dark_masks(draw):
+    """Sparse features on a uniform mask, or a random mask of any density,
+    with some rows forced all dark or all lit."""
+    height, width = draw(shapes)
+    if draw(st.booleans()):
+        mask = draw(arrays(np.bool_, (height, width), elements=st.booleans(),
+                           fill=st.booleans()))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        mask = rng.random((height, width)) < draw(st.floats(0.05, 0.8))
+    for row in draw(st.lists(st.integers(0, height - 1), max_size=3)):
+        mask[row] = draw(st.booleans())
+    return mask
+
+
+@given(dark_masks(), st.integers(0, 2 ** 32 - 1))
+def test_extract_zip_matches_whole_frame_labelling(mask, seed):
+    assert_matches_whole_frame(masked_frame(mask, seed))
+
+
+def u_notch():
+    """A U hanging from a left edge run: exterior, but it reaches the band
+    only through the row above its arms.  The interior hole is smaller."""
+    dark = np.zeros((24, 32), bool)
+    dark[5, :26] = True
+    dark[6:15, 8] = dark[6:15, 18] = dark[14, 8:19] = True
+    dark[18:21, 24:27] = True
+    return dark
+
+
+def edge_rows():
+    """All-dark and all-lit rows; a blob under an all-dark row is exterior."""
+    dark = np.zeros((24, 32), bool)
+    dark[[0, 7, 23]] = True
+    dark[8:10, 12:16] = True
+    dark[12:14, 20:23] = True
+    return dark
+
+
+def hole_on_row(row):
+    """The largest hole lies on one row, between that row's edge runs."""
+    dark = np.zeros((24, 32), bool)
+    dark[row, :3] = dark[row, -4:] = True
+    dark[row, 10:16] = True
+    dark[11:13, 20:22] = True
+    return dark
+
+
+def equal_holes():
+    dark = np.zeros((24, 32), bool)
+    dark[4:6, 5:7] = dark[4:6, 20:22] = dark[15:17, 12:14] = True
+    return dark
+
+
+@pytest.mark.parametrize("dark, expected", [
+    (u_notch(), 9),
+    (u_notch()[::-1, ::-1], 9),
+    (hole_on_row(1), 6),
+    (hole_on_row(22), 6),
+    (hole_on_row(11), 6),
+    (edge_rows(), 6),
+    (equal_holes(), AmbiguousVortexError),
+    (equal_holes()[:, :20], AmbiguousVortexError),
+    (edge_rows() & (np.arange(24)[:, None] < 12), NoVortexError),
+], ids=["u-notch-top", "u-notch-bottom", "hole-on-first-inner-row",
+        "hole-on-last-inner-row", "hole-between-edge-runs", "full-and-empty-rows",
+        "three-way-tie", "two-way-tie", "exterior-only"])
+def test_extract_zip_band_edge_cases(dark, expected):
+    outcome = assert_matches_whole_frame(masked_frame(dark))
+    if isinstance(expected, int):
+        assert outcome[1] == expected
+    else:
+        assert outcome[0] is expected
