@@ -17,6 +17,8 @@ import contextlib
 import csv
 import functools
 import json
+import math
+import numbers
 import operator
 import sys
 from pathlib import Path
@@ -72,6 +74,21 @@ def _integer(section: dict, field: str, default=None) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"'{field}' must be an integer, got {value!r}") from None
+
+
+def _real(value, field: str) -> float:
+    """A finite number of outside input; a string, NaN or inf is an error."""
+    if isinstance(value, numbers.Real) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"'{field}' must be a finite number, got {value!r}")
+
+
+def _reals(section: dict, field: str, default) -> list:
+    """A non-empty list of finite numbers, by the rule of `_real`."""
+    value = section.get(field, default)
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"'{field}' must be a non-empty list, got {value!r}")
+    return [_real(v, field) for v in value]
 
 
 def threshold_fraction(text: str) -> float:
@@ -357,25 +374,29 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_centroid_check(args) -> int:
-    if args.grid:
-        grid = load_config(args.grid)
-    else:
-        grid = {}
-    w0 = float(grid.get("w0_mm", 1.0))
-    thetas = grid.get("thetas", [np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
-    phis = grid.get("phis", list(np.linspace(0, 2 * np.pi, 8, endpoint=False)))
-    ratios = grid.get("g_over_w0", [0.05, 0.5, 1.0])
-    resolution = int(grid.get("resolution", 512))
+    grid = load_config(args.grid) if args.grid else {}
+    with _config_errors(f"grid file {args.grid}"):
+        w0 = _real(grid.get("w0_mm", 1.0), "w0_mm")
+        thetas = _reals(grid, "thetas",
+                        [np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
+        phis = _reals(grid, "phis",
+                      list(np.linspace(0, 2 * np.pi, 8, endpoint=False)))
+        ratios = _reals(grid, "g_over_w0", [0.05, 0.5, 1.0])
+        resolution = _integer(grid, "resolution", default=512)
+        probes = [probefield.ProbeConfig(w0=w0, g=g_ratio * w0)
+                  for g_ratio in ratios]
+        if resolution < 64:
+            raise ValueError(
+                f"'resolution' must be at least 64, got {resolution}")
     tolerance = 1e-5 * w0
 
     worst = 0.0
     sign_votes = []
     print("theta,phi,g_over_w0,x_analytic,x_quadrature,y_analytic,y_quadrature,deviation")
-    for g_ratio in ratios:
-        probe = probefield.ProbeConfig(w0=w0, g=g_ratio * w0)
+    for g_ratio, probe in zip(ratios, probes):
         for theta in thetas:
             for phi in phis:
-                state = QubitState(float(theta), float(phi))
+                state = QubitState(theta, phi)
                 xa, ya = probefield.analytic_centroid(probe, state)
                 field = probefield.exact_field(probe, state)
                 xq, yq = probefield.centroid_by_quadrature(field, resolution)

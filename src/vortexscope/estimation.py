@@ -125,9 +125,9 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     counts come from the sorted dark-pixel indices, the left run from
     argmin, and the dark pixels past the left run are all in the right run
     iff the first of them sits that many columns from the right edge.
-    Region sizes come from one bincount over the band's dark pixels' labels,
-    and the average runs over the winner's pixels only, through the 1-D
-    sensor axes.
+    Region sizes come from one bincount over the labels of the band's dark
+    pixels, held in a band-sized label array, and the average runs over the
+    winner's pixels only, through the 1-D sensor axes.
     """
     if not 0.0 < threshold_fraction < 0.5:
         raise ValueError("threshold_fraction must lie in (0, 0.5)")
@@ -151,11 +151,10 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     if inner.size == 0:
         raise NoVortexError("no interior low-intensity component found")
     top, stop = max(inner[0] - 1, 0), min(inner[-1] + 2, height)
-    labels = np.zeros(dark.shape, np.int32)
-    band = labels[top:stop]
+    band = np.empty((stop - top, width), np.int32)
     count = ndimage.label(dark[top:stop], output=band)
     flat = flat[starts[top]:starts[stop]]  # band pixels: lit label 0 has size 0
-    flat_labels = labels.ravel()[flat]
+    flat_labels = band.ravel()[flat - top * width]
     sizes = np.bincount(flat_labels, minlength=count + 1)
     for edge in (band[0], band[-1], band[:, 0], band[:, -1]):
         sizes[edge] = 0

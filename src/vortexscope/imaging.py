@@ -304,7 +304,12 @@ def _resolve_format(path, fmt: Optional[str]) -> str:
 
 
 def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
-    """Write a 16-bit binary graymap (scaled to peak) or an exact CSV."""
+    """Write a 16-bit binary graymap (scaled to peak) or an exact CSV.
+
+    A graymap overwrites an existing file in place and cuts it at the end of
+    the payload; until the payload is written its magic reads P0, which
+    read_image rejects, so an interrupted write never passes for an image.
+    """
     path = Path(path)
     if _resolve_format(path, fmt) == "pgm":
         peak = img.max_intensity()
@@ -318,12 +323,18 @@ def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
             np.divide(rows, scale, out=part)
             np.rint(part, out=part)
             quantized[start:start + len(rows)] = part
-        with open(path, "wb") as fh:
-            fh.write(b"P5\n")
+        # no O_TRUNC: freeing and reallocating an existing frame's blocks
+        # costs several times the write itself
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        with os.fdopen(fd, "r+b") as fh:
+            fh.write(b"P0\n")
             fh.write(b"# " + json.dumps(header).encode() + b"\n")
             fh.write(f"{img.sensor.width} {img.sensor.height}\n".encode())
             fh.write(f"{_PGM_MAXVAL}\n".encode())
             fh.write(quantized)
+            fh.truncate()
+            fh.seek(0)
+            fh.write(b"P5")
     else:
         header = _header_dict(img)
         with open(path, "w") as fh:
@@ -379,7 +390,10 @@ def _read_pgm(path) -> IntensityImage:
         # Read the payload straight into the array: it starts after a header
         # of any length, so a view into the file's bytes could be unaligned.
         raw = np.empty((height, width), dtype=">u2")
-        fh.readinto(raw)
+        got = fh.readinto(raw)
+        if got != expected:  # the file shrank after fstat
+            raise ImageFormatError(
+                f"{path}: payload read {got} bytes, expected {expected}")
     scale = _header_field(header_json, "intensity_scale", _finite, path, 1.0)
     provenance = _header_field(header_json, "provenance", _mapping, path, {})
     pixels = raw.astype(float)

@@ -1,5 +1,8 @@
 import csv
+import errno
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,6 +138,47 @@ class TestSimulate:
                      str(tmp_path / "o")]) == EXIT_CONFIG
         assert "sensor" in capsys.readouterr().err
 
+    def test_rerun_into_same_directory_matches_fresh_run(self, tmp_path):
+        cfg = base_config(tmp_path, states={"kind": "equator", "steps": 3},
+                          noise={"photon_budget": 1e5, "seed": 11})
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        # the first run draws other noise, so the rewrite changes payloads
+        assert main(["simulate", "--config", cfg, "--seed", "12",
+                     "--out", str(again)]) == EXIT_OK
+        for out in (again, fresh):
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in again.iterdir()) == names
+        for name in names:
+            assert (again / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_read_only_frame_is_config_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        cfg = base_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        frame = out / "img_0000_0.pgm"
+        frame.chmod(0o444)
+        if os.access(frame, os.W_OK):
+            # a privileged process ignores the mode bits: refuse the write
+            # open of that file as the kernel does for anyone else
+            real_open = os.open
+
+            def mode_bits_open(path, flags, *args, **kwargs):
+                if (os.fspath(path) == str(frame)
+                        and flags & (os.O_WRONLY | os.O_RDWR)):
+                    raise PermissionError(errno.EACCES,
+                                          os.strerror(errno.EACCES), str(path))
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", mode_bits_open)
+        before = frame.read_bytes()
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert str(frame) in capsys.readouterr().err
+        assert frame.read_bytes() == before
+
 
 class TestEstimate:
     def simulate_sweep(self, tmp_path, steps=8, postselect=(0, 0, -1)):
@@ -230,6 +274,28 @@ class TestEstimate:
         path.write_bytes(path.read_bytes()[:-2])
         expected = 256 * 256 * 2
         message = f"payload is {expected - 2} bytes, expected {expected}"
+        with pytest.raises(ImageFormatError, match=message):
+            read_image(path)
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     str(path)]) == EXIT_ESTIMATION
+        (row,) = csv.DictReader(csv_lines(out_csv))
+        assert row["error"] == f"error: {path}: {message}"
+
+    def test_pgm_shrinking_after_size_check_is_error_row(self, tmp_path,
+                                                          monkeypatch):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", base_config(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        path = out / "img_0000_0.pgm"
+        path.write_bytes(path.read_bytes()[:-2])
+        real_fstat = os.fstat
+        # the size check sees the file as it was before a rewrite cut it
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+            st_size=real_fstat(fd).st_size + 2))
+        expected = 256 * 256 * 2
+        message = f"payload read {expected - 2} bytes, expected {expected}"
         with pytest.raises(ImageFormatError, match=message):
             read_image(path)
         out_csv = tmp_path / "est.csv"
@@ -446,6 +512,24 @@ class TestCentroidCheck:
 
     def test_unknown_config_file(self, capsys):
         assert main(["centroid-check", "--grid", "no-such.json"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field, value", [
+        ("resolution", 64.7),
+        ("resolution", "64"),
+        ("w0_mm", float("nan")),
+        ("w0_mm", "1.0"),
+        ("thetas", 0.5),
+    ], ids=["fractional-resolution", "string-resolution", "nan-w0",
+            "string-w0", "scalar-thetas"])
+    def test_malformed_grid_field_is_config_error(self, tmp_path, capsys,
+                                                  field, value):
+        grid = {"thetas": [np.pi / 4], "phis": [0.9], "g_over_w0": [0.05],
+                "resolution": 64, field: value}
+        path = write_json(tmp_path / "grid.json", grid)
+        assert main(["centroid-check", "--grid", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"grid file {path}" in err
+        assert f"'{field}'" in err
 
 
 @pytest.mark.parametrize("value", ["0.7", "0.5", "0", "-0.1", "nan"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -205,6 +207,17 @@ def test_clean_ccd_frame_labels_only_the_core_rows(monkeypatch):
     extract_zip(img, threshold_fraction=0.01)
     assert len(masks) == 1
     assert masks[0][0] < 0.1 * sensor.height
+
+
+def test_clean_ccd_frame_allocates_less_than_a_label_frame():
+    img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), experiment_ccd())
+    tracemalloc.start()
+    try:
+        extract_zip(img, threshold_fraction=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < img.pixels.size * np.dtype(np.int32).itemsize
 
 
 class TestEstimateState:

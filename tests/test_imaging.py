@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -302,6 +303,51 @@ class TestImageIO:
         assert path.read_bytes()[-len(expected):] == expected
         assert np.array_equal(read_image(path).pixels,
                               np.rint(pixels / scale) * scale)
+
+    def test_pgm_rewrite_over_larger_frame_matches_fresh_write(self, tmp_path):
+        path, fresh = tmp_path / "img.pgm", tmp_path / "fresh.pgm"
+        big = IntensityImage(np.ones((1024, 1024)), experiment_ccd(), {})
+        write_image(big, path)
+        write_image(self.img, path)
+        write_image(self.img, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_interrupted_pgm_rewrite_is_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "img.pgm"
+        write_image(self.img, path)
+        other = render(exact_field(PROBE, QubitState(np.pi / 3, 1.0)),
+                       self.img.sensor)
+        fdopen = os.fdopen
+
+        class PayloadWriteFails:
+            """File wrapper whose payload write stops halfway."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if isinstance(data, np.ndarray):
+                    self.fh.write(data.tobytes()[:data.nbytes // 2])
+                    raise OSError("device lost")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs:
+                            PayloadWriteFails(fdopen(*args, **kwargs)))
+        with pytest.raises(OSError, match="device lost"):
+            write_image(other, path)
+        monkeypatch.undo()
+        with pytest.raises(ImageFormatError,
+                           match="expected binary graymap magic P5, got b'P0'"):
+            read_image(path)
 
     def test_all_zero_pgm_roundtrips(self, tmp_path):
         zero = IntensityImage(np.zeros((64, 64)), self.img.sensor, {})
