@@ -17,15 +17,13 @@ import contextlib
 import csv
 import functools
 import json
-import math
-import numbers
-import operator
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation, imaging, polarization, probefield, weakvalue
+from .imaging import integer, mapping, real, reals
 from .polarization import BlochVector, QubitState
 
 EXIT_OK = 0
@@ -56,41 +54,6 @@ def _config_errors(subject: str):
         raise ConfigError(f"{subject}: {bad}") from None
 
 
-def _require(cfg: dict, field: str, kind=None):
-    if field not in cfg:
-        raise ConfigError(f"config field '{field}' is required")
-    value = cfg[field]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config field '{field}' has the wrong type")
-    return value
-
-
-def _integer(section: dict, field: str, default=None) -> int:
-    """An integer config field, by the rule `imaging.checked_seed` applies:
-    a fraction, a string or a whole float such as 2.0 is an error."""
-    value = (section.get(field, default) if default is not None
-             else _require(section, field))
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"'{field}' must be an integer, got {value!r}") from None
-
-
-def _real(value, field: str) -> float:
-    """A finite number of outside input; a string, NaN or inf is an error."""
-    if isinstance(value, numbers.Real) and math.isfinite(value):
-        return float(value)
-    raise ValueError(f"'{field}' must be a finite number, got {value!r}")
-
-
-def _reals(section: dict, field: str, default) -> list:
-    """A non-empty list of finite numbers, by the rule of `_real`."""
-    value = section.get(field, default)
-    if not isinstance(value, list) or not value:
-        raise ValueError(f"'{field}' must be a non-empty list, got {value!r}")
-    return [_real(v, field) for v in value]
-
-
 def threshold_fraction(text: str) -> float:
     """argparse type of --threshold-fraction: a number in (0, 0.5)."""
     value = float(text)
@@ -100,11 +63,11 @@ def threshold_fraction(text: str) -> float:
 
 
 def parse_probe(cfg: dict) -> probefield.ProbeConfig:
-    probe = _require(cfg, "probe", dict)
     with _config_errors("config field 'probe'"):
-        parsed = probefield.ProbeConfig(w0=float(_require(probe, "w0_mm")),
-                                        g=float(_require(probe, "g_mm")),
-                                        l=_integer(probe, "l", default=1))
+        probe = mapping(cfg, "probe")
+        parsed = probefield.ProbeConfig(w0=real(probe, "w0_mm"),
+                                        g=real(probe, "g_mm"),
+                                        l=integer(probe, "l", default=1))
         # the weak-value reading and its margin need a displaced vortex
         if not parsed.g > 0:
             raise ValueError("coupling displacement g_mm must be positive")
@@ -121,19 +84,19 @@ def parse_sensor(cfg: dict, probe: probefield.ProbeConfig) -> imaging.SensorConf
     if isinstance(sensor, dict):
         with _config_errors("config field 'sensor'"):
             return imaging.SensorConfig(
-                pixel_pitch=float(_require(sensor, "pixel_pitch_mm")),
-                width=_integer(sensor, "width"),
-                height=_integer(sensor, "height"),
-                center_offset=tuple(sensor.get("center_offset_mm", (0.0, 0.0))))
+                pixel_pitch=real(sensor, "pixel_pitch_mm"),
+                width=integer(sensor, "width"),
+                height=integer(sensor, "height"),
+                center_offset=reals(sensor, "center_offset_mm", [0.0, 0.0]))
     raise ConfigError(f"config field 'sensor': unknown preset {sensor!r}")
 
 
 def parse_postselection(value) -> BlochVector:
     """Normalised post-selection from a 3-vector of outside input.  Raises
-    ValueError or TypeError; `weakvalue` decides whether the frame exists."""
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (3,) or not np.isfinite(vec).all():
-        raise ValueError(f"post-selection {value!r} is not a finite 3-vector")
+    ValueError; `weakvalue` decides whether the frame exists."""
+    vec = np.array(reals({"post-selection": value}, "post-selection"))
+    if vec.shape != (3,):
+        raise ValueError(f"post-selection {value!r} is not a 3-vector")
     norm = np.linalg.norm(vec)
     if not norm >= 1e-12:
         raise ValueError("post-selection vector must be nonzero")
@@ -148,32 +111,29 @@ def parse_states(cfg: dict):
     Returns (label, [QubitState, ...]) for pure sources or
     (label, BlochVector) for a mixed Bloch source.
     """
-    source = _require(cfg, "states", dict)
-    kind = _require(source, "kind", str)
     with _config_errors("config field 'states'"):
+        source = mapping(cfg, "states")
+        kind = source.get("kind")
         if kind == "explicit":
-            return "explicit", [QubitState(float(_require(source, "theta")),
-                                           float(_require(source, "phi")))]
+            return "explicit", [QubitState(real(source, "theta"),
+                                           real(source, "phi"))]
         if kind == "bloch":
-            return "bloch", BlochVector(float(_require(source, "x")),
-                                        float(_require(source, "y")),
-                                        float(_require(source, "z")))
+            return "bloch", BlochVector(real(source, "x"), real(source, "y"),
+                                        real(source, "z"))
         if kind in ("equator", "infinity"):
-            steps = _integer(source, "steps")
+            steps = integer(source, "steps")
             return kind, (polarization.equator_path(steps) if kind == "equator"
                           else polarization.infinity_path(steps))
     raise ConfigError(f"config field 'states.kind': unknown kind {kind!r}")
 
 
 def parse_noise(cfg: dict):
-    noise = cfg.get("noise")
-    if noise in (None, "noiseless"):
+    if cfg.get("noise") in (None, "noiseless"):
         return None
-    if not isinstance(noise, dict):
-        raise ConfigError("config field 'noise' must be null or an object")
     with _config_errors("config field 'noise'"):
+        noise = mapping(cfg, "noise")
         return {"photon_budget": imaging.checked_photon_budget(
-                    _require(noise, "photon_budget")),
+                    real(noise, "photon_budget")),
                 "seed": imaging.checked_seed(noise.get("seed", 0))}
 
 
@@ -251,7 +211,7 @@ def cmd_simulate(args) -> int:
                       f"{margin_threshold} for state {index}; the "
                       "displaced-vortex reading is unreliable",
                       file=sys.stderr)
-            image = imaging.render(field, sensor, mode=mode)
+            image = imaging.render(field, sensor)
             image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
             image.provenance["postselection"] = [postselection.x, postselection.y,
                                                  postselection.z]
@@ -278,11 +238,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        with open(args.cal) as fh:
-            calibration = estimation.Calibration.from_json(json.load(fh))
-    except (KeyError, TypeError, ValueError) as bad:
-        raise ConfigError(f"calibration file {args.cal}: {bad}") from None
+    cal = load_config(args.cal)
+    with _config_errors(f"calibration file {args.cal}"):
+        calibration = estimation.Calibration.from_json(cal)
     with _config_errors("--postselect"):
         postselection = parse_postselection(
             [float(t) for t in args.postselect.split(",")])
@@ -337,7 +295,7 @@ def cmd_tomo(args) -> int:
         raise ConfigError("'tomo' expects a Bloch-vector state source")
     with _config_errors("config field 'postselections'"):
         postselections = [parse_postselection(v)
-                          for v in _require(cfg, "postselections", list)]
+                          for v in cfg.get("postselections", [])]
     if len(postselections) < 2:
         raise ConfigError("'tomo' needs at least two post-selections")
     noise = parse_noise(cfg)
@@ -347,7 +305,7 @@ def cmd_tomo(args) -> int:
     for p_index, postselection in enumerate(postselections):
         with _config_errors(f"Bloch state at post-selection {p_index}"):
             field = probefield.mixed_exact_field(probe, source, postselection)
-        image = imaging.render(field, sensor, mode="mixture")
+        image = imaging.render(field, sensor)
         if noise is not None:
             image = imaging.add_shot_noise(image, noise["photon_budget"],
                                            noise["seed"], frame=p_index)
@@ -376,13 +334,13 @@ def cmd_tomo(args) -> int:
 def cmd_centroid_check(args) -> int:
     grid = load_config(args.grid) if args.grid else {}
     with _config_errors(f"grid file {args.grid}"):
-        w0 = _real(grid.get("w0_mm", 1.0), "w0_mm")
-        thetas = _reals(grid, "thetas",
-                        [np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
-        phis = _reals(grid, "phis",
-                      list(np.linspace(0, 2 * np.pi, 8, endpoint=False)))
-        ratios = _reals(grid, "g_over_w0", [0.05, 0.5, 1.0])
-        resolution = _integer(grid, "resolution", default=512)
+        w0 = real(grid, "w0_mm", 1.0)
+        thetas = reals(grid, "thetas",
+                       [np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
+        phis = reals(grid, "phis",
+                     list(np.linspace(0, 2 * np.pi, 8, endpoint=False)))
+        ratios = reals(grid, "g_over_w0", [0.05, 0.5, 1.0])
+        resolution = integer(grid, "resolution", default=512)
         probes = [probefield.ProbeConfig(w0=w0, g=g_ratio * w0)
                   for g_ratio in ratios]
         if resolution < 64:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .imaging import IntensityImage
+from .imaging import IntensityImage, real, reals
 from .polarization import BlochVector, QubitState
 from .weakvalue import (SOUTH_POLE, projection_line, stereographic_invert,
                         weak_value_pure)
@@ -93,8 +93,8 @@ class Calibration:
 
     @classmethod
     def from_json(cls, data: dict) -> "Calibration":
-        return cls(origin=tuple(data["origin_mm"]), scale=data["scale_mm"],
-                   orientation=data.get("orientation_rad", 0.0))
+        return cls(origin=reals(data, "origin_mm"), scale=real(data, "scale_mm"),
+                   orientation=real(data, "orientation_rad", 0.0))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,12 @@ the resolution-consistency test guards the choice.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import numbers
 import operator
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -104,7 +107,7 @@ class IntensityImage:
         return float(self.pixels.max())
 
 
-def render(field, sensor: SensorConfig, mode: Optional[str] = None,
+def render(field, sensor: SensorConfig,
            rows_per_chunk: Optional[int] = None) -> IntensityImage:
     """Sample |field|^2 at pixel centers.
 
@@ -124,7 +127,7 @@ def render(field, sensor: SensorConfig, mode: Optional[str] = None,
         pixels = np.concatenate(chunks, axis=0)
 
     provenance = {
-        "mode": mode if mode is not None else getattr(field, "description", "unknown"),
+        "mode": getattr(field, "description", "unknown"),
         "probe": {"w0": field.probe.w0, "g": field.probe.g, "l": field.probe.l},
         "state": "unknown",
         "noise": None,
@@ -142,26 +145,75 @@ def render(field, sensor: SensorConfig, mode: Optional[str] = None,
     return IntensityImage(pixels, sensor, provenance)
 
 
+# ---------------------------------------------------------------------------
+# Outside input: scenario, grid, calibration and image-header fields
+# ---------------------------------------------------------------------------
+
+def _entry(section: dict, key: str, default):
+    if key in section:
+        return section[key]
+    if default is None:
+        raise ValueError(f"'{key}' is required")
+    return default
+
+
+def _is_real(value) -> bool:
+    """True for an int or float within the finite floats; False for a bool,
+    a string, NaN, inf or an int too large to be a float."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def real(section: dict, key: str, default=None) -> float:
+    """section[key], or default if it is absent and given, as a finite float."""
+    value = _entry(section, key, default)
+    if not _is_real(value):
+        raise ValueError(f"'{key}' must be a finite number (got {value!r})")
+    return float(value)
+
+
+def integer(section: dict, key: str, default=None) -> int:
+    """section[key], or default, as an int: a fraction, a string, a bool or
+    a whole float such as 2.0 is an error."""
+    value = _entry(section, key, default)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"'{key}' must be an integer (got {value!r})")
+    return int(value)
+
+
+def reals(section: dict, key: str, default=None) -> list:
+    """section[key], or default, as a non-empty list of finite floats."""
+    value = _entry(section, key, default)
+    if not (isinstance(value, list) and value and all(map(_is_real, value))):
+        raise ValueError(f"'{key}' must be a non-empty list of finite "
+                         f"numbers (got {value!r})")
+    return [float(v) for v in value]
+
+
+def mapping(section: dict, key: str, default=None) -> dict:
+    """section[key], or default, if it is a JSON object."""
+    value = _entry(section, key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"'{key}' must be an object (got {value!r})")
+    return value
+
+
 # No pixel's Poisson mean exceeds the budget; numpy's sampler rejects means
 # above about 9.2e18.
 MAX_PHOTON_BUDGET = 1e18
 
 
 def checked_photon_budget(value) -> float:
-    """float(value) if it is a usable photon budget, else ValueError."""
-    budget = float(value)
-    if not 0 < budget <= MAX_PHOTON_BUDGET:  # also rejects NaN
-        raise ValueError(f"photon budget must be positive and at most "
-                         f"{MAX_PHOTON_BUDGET:g}, got {budget!r}")
-    return budget
+    """value as a float if it is a usable photon budget, else ValueError."""
+    if not (_is_real(value) and 0 < value <= MAX_PHOTON_BUDGET):
+        raise ValueError(f"photon budget must be a positive number at most "
+                         f"{MAX_PHOTON_BUDGET:g}, got {value!r}")
+    return float(value)
 
 
 def checked_seed(value) -> int:
     """value if it is an integer with 0 <= value < 2**64, else ValueError."""
-    try:
-        seed = operator.index(value)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {value!r}") from None
+    seed = integer({"seed": value}, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be at least 0 and below 2**64, got {seed}")
     return seed
@@ -248,53 +300,21 @@ def _header_dict(img: IntensityImage, scale: float = 1.0) -> dict:
     }
 
 
-def _finite(value) -> float:
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError(f"{number} is not finite")
-    return number
-
-
-def _offset(value) -> tuple:
-    x, y = value
-    return _finite(x), _finite(y)
-
-
-def _mapping(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("not an object")
-    return value
-
-
-def _header_field(header: dict, key: str, convert, path, default=None):
-    """convert(header[key]); a missing or malformed value raises
-    ImageFormatError naming the file and the field."""
-    if key not in header:
-        if default is not None:
-            return default
-        raise ImageFormatError(f"{path}: header lacks field '{key}'")
+def _parse_header(header: dict, path):
+    """(sensor, intensity scale, provenance) of an image header; a missing or
+    malformed field raises ImageFormatError naming the file and the field."""
     try:
-        return convert(header[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ImageFormatError(f"{path}: header field '{key}' is malformed") from None
-
-
-def _sensor_from_header(header: dict, path) -> SensorConfig:
-    pitch = _header_field(header, "pixel_pitch_mm", _finite, path)
-    width = _header_field(header, "width", int, path)
-    height = _header_field(header, "height", int, path)
-    offset = _header_field(header, "origin_offset_mm", _offset, path)
-    try:
-        return SensorConfig(pitch, width, height, center_offset=offset)
+        sensor = SensorConfig(real(header, "pixel_pitch_mm"),
+                              integer(header, "width"),
+                              integer(header, "height"),
+                              center_offset=reals(header, "origin_offset_mm"))
+        return (sensor, real(header, "intensity_scale", 1.0),
+                mapping(header, "provenance", {}))
     except ValueError as bad:
-        raise ImageFormatError(f"{path}: header geometry: {bad}") from None
+        raise ImageFormatError(f"{path}: header: {bad}") from None
 
 
-def _resolve_format(path, fmt: Optional[str]) -> str:
-    if fmt is not None:
-        if fmt not in ("pgm", "csv"):
-            raise ValueError(f"unsupported format {fmt!r}")
-        return fmt
+def _resolve_format(path) -> str:
     suffix = Path(path).suffix.lower()
     if suffix in (".pgm", ".pnm"):
         return "pgm"
@@ -303,15 +323,17 @@ def _resolve_format(path, fmt: Optional[str]) -> str:
     raise ValueError(f"cannot infer image format from {path}")
 
 
-def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
-    """Write a 16-bit binary graymap (scaled to peak) or an exact CSV.
+def write_image(img: IntensityImage, path) -> None:
+    """Write a 16-bit binary graymap (scaled to peak) or an exact CSV, as
+    the suffix says.
 
     A graymap overwrites an existing file in place and cuts it at the end of
     the payload; until the payload is written its magic reads P0, which
     read_image rejects, so an interrupted write never passes for an image.
+    The write holds an exclusive flock, so a reader never sees it half done.
     """
     path = Path(path)
-    if _resolve_format(path, fmt) == "pgm":
+    if _resolve_format(path) == "pgm":
         peak = img.max_intensity()
         scale = peak / _PGM_MAXVAL if peak > 0 else 1.0
         header = _header_dict(img, scale=scale)
@@ -326,6 +348,7 @@ def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
         # no O_TRUNC: freeing and reallocating an existing frame's blocks
         # costs several times the write itself
         fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released on close
         with os.fdopen(fd, "r+b") as fh:
             fh.write(b"P0\n")
             fh.write(b"# " + json.dumps(header).encode() + b"\n")
@@ -346,6 +369,8 @@ def write_image(img: IntensityImage, path, fmt: Optional[str] = None) -> None:
 
 def _read_pgm(path) -> IntensityImage:
     with open(path, "rb") as fh:
+        # a shared flock keeps write_image out until the payload is read
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
         tokens = []
         header_json = None
         while len(tokens) < 4:
@@ -377,7 +402,7 @@ def _read_pgm(path) -> IntensityImage:
                 f"{path}: expected 16-bit maxval {_PGM_MAXVAL}, got {maxval}")
         if header_json is None:
             raise ImageFormatError(f"{path}: missing provenance comment")
-        sensor = _sensor_from_header(header_json, path)
+        sensor, scale, provenance = _parse_header(header_json, path)
         if (sensor.width, sensor.height) != (width, height):
             raise ImageFormatError(
                 f"{path}: header geometry {sensor.width}x{sensor.height} "
@@ -394,8 +419,6 @@ def _read_pgm(path) -> IntensityImage:
         if got != expected:  # the file shrank after fstat
             raise ImageFormatError(
                 f"{path}: payload read {got} bytes, expected {expected}")
-    scale = _header_field(header_json, "intensity_scale", _finite, path, 1.0)
-    provenance = _header_field(header_json, "provenance", _mapping, path, {})
     pixels = raw.astype(float)
     pixels *= scale
     return IntensityImage(pixels, sensor, provenance)
@@ -423,20 +446,22 @@ def _read_csv(path) -> IntensityImage:
         raise ImageFormatError(f"{path}: missing JSON sidecar {sidecar}")
     with open(sidecar) as fh:
         try:
-            header = _mapping(json.load(fh))
-        except (TypeError, ValueError):
-            raise ImageFormatError(f"{sidecar}: not a JSON object") from None
-    sensor = _sensor_from_header(header, sidecar)
+            header = json.load(fh)
+        except ValueError:
+            header = None
+    if not isinstance(header, dict):
+        raise ImageFormatError(f"{sidecar}: not a JSON object")
+    sensor, _, provenance = _parse_header(header, sidecar)
     if (sensor.height, sensor.width) != pixels.shape:
         raise ImageFormatError(
             f"{path}: header geometry {sensor.height}x{sensor.width} "
             f"does not match payload {pixels.shape}")
-    provenance = _header_field(header, "provenance", _mapping, sidecar, {})
     return IntensityImage(pixels, sensor, provenance)
 
 
-def read_image(path, fmt: Optional[str] = None) -> IntensityImage:
+def read_image(path) -> IntensityImage:
+    """Read a graymap or a CSV image, as the suffix says."""
     path = Path(path)
-    if _resolve_format(path, fmt) == "pgm":
+    if _resolve_format(path) == "pgm":
         return _read_pgm(path)
     return _read_csv(path)

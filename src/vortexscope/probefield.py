@@ -12,6 +12,7 @@ an open pixel grid for rendering.  Lengths are in millimeters throughout.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -48,13 +49,22 @@ class ProbeConfig:
     l: int = 1
 
     def __post_init__(self):
-        if self.w0 <= 0:
-            raise ValueError("beam width w0 must be positive")
-        if self.g < 0:
-            raise ValueError("coupling displacement g must be nonnegative")
+        # each comparison is False for NaN
+        if not 0 < self.w0 < math.inf:
+            raise ValueError("beam width w0 must be positive and finite")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(f"coupling displacement g must be nonnegative "
+                             f"and finite, got {self.g!r}")
         if int(self.l) != self.l or self.l < 1:
             raise ValueError("vortex charge l must be an integer >= 1")
         object.__setattr__(self, "l", int(self.l))
+        try:
+            norm = self.normalization()
+        except ArithmeticError:  # a power overflows, or w0 ** (l + 1) is 0
+            norm = 0.0
+        if not sys.float_info.min <= norm < math.inf:
+            raise ValueError(f"the normalization of w0 = {self.w0!r}, "
+                             f"l = {self.l} is not a positive normal float")
 
     def normalization(self) -> float:
         """N_l with integral |N_l f_l exp(.)|^2 = 1; N_1^2 = 1/(4 pi w0^4)."""
@@ -98,14 +108,12 @@ class ComplexField:
     polynomial in iy with coefficients in x alone, and its squared magnitude
     a real polynomial in y, so on an open grid (x of shape (1, W), y of
     shape (H, 1)) every exponential is one-dimensional.
-    `weak_value` records the displacement context of a post-selected field;
-    `normalized` flags unit L2 norm.
+    `weak_value` records the displacement context of a post-selected field.
     """
 
     terms: tuple  # of (coefficient, shift)
     probe: ProbeConfig
     description: str
-    normalized: bool = False
     weak_value: Optional[complex] = None
 
     def _coefficients(self, x):
@@ -172,8 +180,7 @@ class MixedField:
 
 
 def lg_field(cfg: ProbeConfig) -> ComplexField:
-    return ComplexField(((1.0, 0.0),), cfg, "lg", normalized=True,
-                        weak_value=0.0)
+    return ComplexField(((1.0, 0.0),), cfg, "lg", weak_value=0.0)
 
 
 def lg_amplitude(cfg: ProbeConfig, x, y):

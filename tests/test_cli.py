@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -543,3 +544,81 @@ def test_bad_threshold_fraction_is_usage_error(tmp_path, capsys, command,
         main([*args, "--threshold-fraction", value])
     assert excinfo.value.code == EXIT_CONFIG
     assert "--threshold-fraction" in capsys.readouterr().err
+
+
+# Each input below was accepted, or crashed with a traceback, before the
+# scenario, calibration and image-header readers shared one rule for reals
+# and integers.  A patch maps "section.field" or "field" to a new value in
+# the scenario, in the calibration file or in one frame's JSON header.
+MALFORMED_INPUTS = [
+    ("scenario", {"probe.w0_mm": "1.0"}, "'w0_mm'"),
+    ("scenario", {"probe.g_mm": True}, "'g_mm'"),
+    ("scenario", {"probe.l": True}, "'l'"),
+    ("scenario", {"probe.w0_mm": float("nan"), "sensor": "fast"}, "'w0_mm'"),
+    ("scenario", {"probe.w0_mm": 1e200}, "'probe'"),
+    ("scenario", {"probe.w0_mm": 1e-300}, "'probe'"),
+    ("scenario", {"sensor.pixel_pitch_mm": "0.125"}, "'pixel_pitch_mm'"),
+    ("scenario", {"sensor.center_offset_mm": ["0", "0"]},
+     "'center_offset_mm'"),
+    ("scenario", {"states.theta": "0.7"}, "'theta'"),
+    ("scenario", {"states.phi": True}, "'phi'"),
+    ("scenario", {"noise.photon_budget": "1e6"}, "'photon_budget'"),
+    ("scenario", {"noise.photon_budget": True}, "'photon_budget'"),
+    ("scenario", {"noise.seed": True}, "'seed'"),
+    ("calibration", {"scale_mm": True}, "'scale_mm'"),
+    ("calibration", {"origin_mm": ["0", "0"]}, "'origin_mm'"),
+    ("calibration", {"orientation_rad": False}, "'orientation_rad'"),
+    ("calibration", {"scale_mm": "0.05"}, "'scale_mm'"),
+    ("calibration", {"orientation_rad": "0"}, "'orientation_rad'"),
+    ("header", {"width": 256.9}, "'width'"),
+    ("header", {"width": "256"}, "'width'"),
+    ("header", {"pixel_pitch_mm": str(8.0 / 256)}, "'pixel_pitch_mm'"),
+]
+
+
+def patched(text: str, patch: dict) -> str:
+    """JSON text with each "section.field" or "field" of `patch` replaced."""
+    document = json.loads(text)
+    for key, value in patch.items():
+        *section, field = key.split(".")
+        (document[section[0]] if section else document)[field] = value
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "source, patch, named", MALFORMED_INPUTS,
+    ids=[source + "-" + ",".join(f"{k}={json.dumps(v, separators=(',', ':'))}"
+                                 for k, v in patch.items())
+         for source, patch, _ in MALFORMED_INPUTS])
+def test_malformed_input_is_refused_naming_its_field(tmp_path, capsys, source,
+                                                     patch, named):
+    cfg = Path(base_config(tmp_path, noise={"photon_budget": 1e5, "seed": 1}))
+    if source == "scenario":
+        cfg.write_text(patched(cfg.read_text(), patch))
+    sim = tmp_path / "sim"
+    code = main(["simulate", "--config", str(cfg), "--out", str(sim)])
+    if source == "scenario":
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        return
+    assert code == EXIT_OK
+    cal = Path(write_calibration(tmp_path))
+    frame = sim / "img_0000_0.pgm"
+    if source == "calibration":
+        cal.write_text(patched(cal.read_text(), patch))
+    else:
+        magic, comment, rest = frame.read_bytes().split(b"\n", 2)
+        comment = b"# " + patched(comment[1:].decode(), patch).encode()
+        frame.write_bytes(b"\n".join([magic, comment, rest]))
+    out_csv = tmp_path / "est.csv"
+    code = main(["estimate", "--cal", str(cal), "--postselect", "0,0,-1",
+                 "--out", str(out_csv), str(frame)])
+    if source == "calibration":
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"calibration file {cal}" in err and named in err
+    else:
+        assert code == EXIT_ESTIMATION
+        (row,) = csv.DictReader(csv_lines(out_csv))
+        assert row["error"].startswith(f"error: {frame}: ")
+        assert named in row["error"]

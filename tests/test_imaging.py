@@ -2,6 +2,8 @@ import json
 import multiprocessing
 import os
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -348,6 +350,35 @@ class TestImageIO:
         with pytest.raises(ImageFormatError,
                            match="expected binary graymap magic P5, got b'P0'"):
             read_image(path)
+
+    def test_rewrite_during_read_waits_for_the_read(self, tmp_path,
+                                                    monkeypatch):
+        path, fresh = tmp_path / "img.pgm", tmp_path / "fresh.pgm"
+        write_image(self.img, path)
+        old = read_image(path)
+        other = render(exact_field(PROBE, QubitState(np.pi / 3, 1.0)),
+                       self.img.sensor)
+        write_image(other, fresh)
+        real_fstat = os.fstat
+        writers = []
+
+        def fstat_then_rewrite(fd):
+            # between the header read and the payload read, rewrite the file
+            if not writers:
+                writers.append(threading.Thread(target=write_image,
+                                                args=(other, path)))
+                writers[0].start()
+                time.sleep(0.05)
+            return real_fstat(fd)
+
+        monkeypatch.setattr(os, "fstat", fstat_then_rewrite)
+        during = read_image(path)
+        monkeypatch.undo()
+        writers[0].join(timeout=10)
+        assert not writers[0].is_alive()
+        assert np.array_equal(during.pixels, old.pixels)
+        assert during.provenance == old.provenance
+        assert np.array_equal(read_image(path).pixels, read_image(fresh).pixels)
 
     def test_all_zero_pgm_roundtrips(self, tmp_path):
         zero = IntensityImage(np.zeros((64, 64)), self.img.sensor, {})

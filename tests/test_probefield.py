@@ -59,11 +59,6 @@ class TestLgAmplitude:
             b = abs(lg_amplitude(PROBE, -y, x))
             assert a == pytest.approx(b, rel=1e-12)
 
-    def test_field_flagged_normalized(self):
-        field = lg_field(PROBE)
-        assert field.normalized
-        assert quadrature_norm(field) == pytest.approx(1.0, abs=1e-6)
-
 
 class TestExactField:
     def test_h_state_is_single_displaced_vortex(self):

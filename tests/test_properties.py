@@ -1,6 +1,7 @@
 """Property tests over generated inputs (profile registered in conftest)."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from vortexscope.estimation import (AmbiguousVortexError, Calibration,
                                     ZipEstimate, extract_zip,
                                     reconstruct_mixed)
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
-                                 SensorConfig, read_image, write_image)
+                                 SensorConfig, integer, read_image, real,
+                                 reals, write_image)
 from vortexscope.polarization import BlochVector, QubitState
 from vortexscope.weakvalue import (rotate_to_south, stereographic_invert,
                                    stereographic_project, weak_value_mixed,
@@ -279,3 +281,30 @@ def test_extract_zip_band_edge_cases(dark, expected):
         assert outcome[1] == expected
     else:
         assert outcome[0] is expected
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=4)
+
+
+@given(json_values)
+def test_converters_accept_only_their_numbers(value):
+    section = {"field": value}
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:
+        assert type(real(section, "field")) is float
+        assert real(section, "field") == float(value)
+        assert reals({"field": [value]}, "field") == [float(value)]
+    else:
+        with pytest.raises(ValueError, match="'field'"):
+            real(section, "field")
+        with pytest.raises(ValueError, match="'field'"):
+            reals({"field": [value]}, "field")
+    if number and isinstance(value, int):
+        assert type(integer(section, "field")) is int
+        assert integer(section, "field") == value
+    else:
+        with pytest.raises(ValueError, match="'field'"):
+            integer(section, "field")
