@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimation, imaging, polarization, probefield, weakvalue
-from .imaging import integer, mapping, real, reals
+from .imaging import integer, mapping, real, reals, text
 from .polarization import BlochVector, QubitState
 
 EXIT_OK = 0
@@ -158,6 +158,17 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _render_lit(field, sensor, subject: str) -> imaging.IntensityImage:
+    """render(field, sensor), or a ConfigError naming `subject` and g_mm if
+    the frame holds no light, as when the vortex is displaced far off the
+    sensor."""
+    image = imaging.render(field, sensor)
+    if not image.max_intensity() > 0:
+        raise ConfigError(f"{subject}: the frame renders no light on the "
+                          f"sensor (g_mm = {field.probe.g!r})")
+    return image
+
+
 def _write_csv(path, header, rows, provenance=None):
     with open(path, "w", newline="") as fh:
         if provenance is not None:
@@ -194,7 +205,9 @@ def cmd_simulate(args) -> int:
     if mode not in ("exact", "approx"):
         raise ConfigError(f"mode must be 'exact' or 'approx', got {mode!r}")
     build = probefield.exact_field if mode == "exact" else probefield.approx_field
-    out_dir = Path(args.out or cfg.get("output_dir", "."))
+    with _config_errors("config field 'output_dir'"):
+        output_dir = text(cfg, "output_dir", ".")
+    out_dir = Path(args.out or output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     margin_threshold = args.margin_threshold
@@ -211,7 +224,8 @@ def cmd_simulate(args) -> int:
                       f"{margin_threshold} for state {index}; the "
                       "displaced-vortex reading is unreliable",
                       file=sys.stderr)
-            image = imaging.render(field, sensor)
+            image = _render_lit(field, sensor,
+                                f"state {index}, post-selection {p_index}")
             image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
             image.provenance["postselection"] = [postselection.x, postselection.y,
                                                  postselection.z]
@@ -305,7 +319,8 @@ def cmd_tomo(args) -> int:
     for p_index, postselection in enumerate(postselections):
         with _config_errors(f"Bloch state at post-selection {p_index}"):
             field = probefield.mixed_exact_field(probe, source, postselection)
-        image = imaging.render(field, sensor)
+        image = _render_lit(field, sensor,
+                            f"Bloch state at post-selection {p_index}")
         if noise is not None:
             image = imaging.add_shot_noise(image, noise["photon_budget"],
                                            noise["seed"], frame=p_index)

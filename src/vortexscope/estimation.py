@@ -117,6 +117,10 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     exterior always touches it) is averaged with weights
     (threshold - intensity), so the darkest pixels dominate.
 
+    A count image is thresholded on its counts: a count k is dark iff
+    k * scale <= threshold in float, so the selection and every output equal
+    those of its float view, and only the winner's pixels become floats.
+
     Only a band of rows is labelled.  A row is inner when it holds more dark
     pixels than its dark runs from the left and to the right edge; those
     runs reach the border along the row, so every interior region lies in
@@ -131,12 +135,18 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     """
     if not 0.0 < threshold_fraction < 0.5:
         raise ValueError("threshold_fraction must lie in (0, 0.5)")
-    pixels = img.pixels
-    peak = pixels.max()
+    stored, scale = img.stored, img.scale
+    peak = img.max_intensity()
     if peak <= 0:
         raise NoVortexError("image has no positive intensity")
     threshold = threshold_fraction * peak
-    dark = pixels <= threshold
+    limit = threshold
+    if stored.dtype == np.uint16:
+        # the largest count k with k * scale <= threshold in float
+        limit = int(threshold / scale)
+        limit += (limit + 1) * scale <= threshold
+        limit -= limit * scale > threshold
+    dark = stored <= limit
     flat = np.flatnonzero(dark)
     if flat.size == 0:
         raise NoVortexError("no pixels below threshold")
@@ -170,7 +180,7 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
         raise AmbiguousVortexError(
             f"{len(ties)} equal-size dark components", candidates)
     rows, cols = members[0]
-    weights = threshold - pixels[rows, cols]  # >= 0 on every member
+    weights = threshold - stored[rows, cols] * scale  # >= 0 on every member
     total = weights.sum()
     if total <= 0:  # every selected pixel sits exactly at the threshold
         weights, total = np.ones(rows.size), rows.size

@@ -10,6 +10,7 @@ the resolution-consistency test guards the choice.
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import numbers
 import operator
@@ -81,30 +82,62 @@ def fast_sensor(w0: float, pixels: int = 512, extent_factor: float = 8.0) -> Sen
 
 @dataclass(frozen=True, eq=False)
 class IntensityImage:
-    """Nonnegative pixel grid with sensor geometry and provenance record."""
+    """Nonnegative pixel grid with sensor geometry and provenance record.
 
-    pixels: np.ndarray
+    `stored` holds float intensities, or native uint16 counts worth `scale`
+    each, as a graymap keeps them; float intensities take scale 1.  Counts
+    are never NaN or negative, so only float intensities are scanned.  The
+    peak is taken once, at construction, so `stored` and `pixels` are
+    read-only views.
+    """
+
+    stored: np.ndarray
     sensor: SensorConfig
     provenance: dict = field(default_factory=dict)
+    scale: float = 1.0
+    _peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
-        if px.shape != (self.sensor.height, self.sensor.width):
+        stored = np.asarray(self.stored)
+        if stored.shape != (self.sensor.height, self.sensor.width):
             raise ImageFormatError(
-                f"pixel array {px.shape} does not match sensor "
+                f"pixel array {stored.shape} does not match sensor "
                 f"{self.sensor.height}x{self.sensor.width}")
-        # two reductions, no temporaries; min() is NaN if any pixel is NaN
-        if not (px.min() >= 0 and px.max() < np.inf):
-            raise ImageFormatError(
-                "pixel intensities must be finite and nonnegative: "
-                "found NaN/inf or a negative value")
-        object.__setattr__(self, "pixels", px)
+        if stored.dtype == np.uint16:
+            if not 0 < self.scale * _PGM_MAXVAL < np.inf:
+                raise ImageFormatError(f"count scale must be positive and "
+                                       f"finite at full scale, got {self.scale}")
+            peak = float(stored.max()) * self.scale
+        else:
+            stored = stored.astype(float, copy=False)
+            if self.scale != 1.0:
+                raise ImageFormatError("float intensities take scale 1")
+            # two reductions, no temporaries; min() is NaN if any pixel is NaN
+            peak = float(stored.max())
+            if not (stored.min() >= 0 and peak < np.inf):
+                raise ImageFormatError(
+                    "pixel intensities must be finite and nonnegative: "
+                    "found NaN/inf or a negative value")
+        stored = stored.view()
+        stored.flags.writeable = False
+        object.__setattr__(self, "stored", stored)
+        object.__setattr__(self, "_peak", peak)
+
+    @functools.cached_property
+    def pixels(self) -> np.ndarray:
+        """Float intensities: the stored array, or counts * scale made on
+        first use and kept."""
+        if self.stored.dtype != np.uint16:
+            return self.stored
+        view = self.stored * self.scale
+        view.flags.writeable = False
+        return view
 
     def coordinates(self):
         return self.sensor.coordinates()
 
     def max_intensity(self) -> float:
-        return float(self.pixels.max())
+        return self._peak
 
 
 def render(field, sensor: SensorConfig,
@@ -195,6 +228,14 @@ def mapping(section: dict, key: str, default=None) -> dict:
     value = _entry(section, key, default)
     if not isinstance(value, dict):
         raise ValueError(f"'{key}' must be an object (got {value!r})")
+    return value
+
+
+def text(section: dict, key: str, default=None) -> str:
+    """section[key], or default, if it is a string."""
+    value = _entry(section, key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"'{key}' must be a string (got {value!r})")
     return value
 
 
@@ -308,8 +349,11 @@ def _parse_header(header: dict, path):
                               integer(header, "width"),
                               integer(header, "height"),
                               center_offset=reals(header, "origin_offset_mm"))
-        return (sensor, real(header, "intensity_scale", 1.0),
-                mapping(header, "provenance", {}))
+        scale = real(header, "intensity_scale", 1.0)
+        if not 0 < scale * _PGM_MAXVAL < np.inf:
+            raise ValueError(f"'intensity_scale' must be positive and finite "
+                             f"at full scale (got {scale!r})")
+        return sensor, scale, mapping(header, "provenance", {})
     except ValueError as bad:
         raise ImageFormatError(f"{path}: header: {bad}") from None
 
@@ -414,14 +458,16 @@ def _read_pgm(path) -> IntensityImage:
                 f"{path}: payload is {available} bytes, expected {expected}")
         # Read the payload straight into the array: it starts after a header
         # of any length, so a view into the file's bytes could be unaligned.
-        raw = np.empty((height, width), dtype=">u2")
-        got = fh.readinto(raw)
+        counts = np.empty(width * height, np.uint16)
+        got = fh.readinto(counts)
         if got != expected:  # the file shrank after fstat
             raise ImageFormatError(
                 f"{path}: payload read {got} bytes, expected {expected}")
-    pixels = raw.astype(float)
-    pixels *= scale
-    return IntensityImage(pixels, sensor, provenance)
+    # big-endian to native order in place: numpy copies a 1-D array onto
+    # itself without a temporary
+    np.copyto(counts, counts.view(">u2"))
+    return IntensityImage(counts.reshape(height, width), sensor, provenance,
+                          scale)
 
 
 def _read_csv(path) -> IntensityImage:

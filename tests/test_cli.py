@@ -11,7 +11,7 @@ import pytest
 from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
                              build_parser, main)
 from vortexscope.estimation import Calibration
-from vortexscope.imaging import ImageFormatError, read_image
+from vortexscope.imaging import ImageFormatError, IntensityImage, read_image
 from vortexscope.polarization import QubitState
 
 
@@ -206,6 +206,19 @@ class TestEstimate:
         assert rows[0].startswith("file,zip_x_mm")
         assert len(rows) == len(images) + 1
 
+    def test_estimate_makes_no_float_frame(self, tmp_path, monkeypatch):
+        images = self.simulate_sweep(tmp_path, steps=2)
+
+        def no_float_view(image):
+            raise AssertionError("estimate made the float view of a frame")
+
+        monkeypatch.setattr(IntensityImage, "pixels", property(no_float_view))
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     *images]) == EXIT_OK
+        assert all(row.endswith(",") for row in csv_lines(out_csv)[1:])
+
     def test_wrong_postselection_label_fails_systematically(self, tmp_path):
         cfg = base_config(tmp_path,
                           sensor={"pixel_pitch_mm": 8.0 / 512,
@@ -398,6 +411,29 @@ class TestTomo:
         assert main(["tomo", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.filterwarnings("ignore::vortexscope.probefield.TruncationWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("noise", [None, {"photon_budget": 1e5, "seed": 1}],
+                         ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("command", ["simulate", "tomo"])
+def test_frame_without_light_is_config_error(tmp_path, capsys, command, noise):
+    # a vortex displaced far beyond the sensor leaves every pixel at zero
+    states = ({"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4}
+              if command == "tomo" else
+              {"kind": "explicit", "theta": np.pi / 2, "phi": 0.0})
+    cfg = base_config(tmp_path, probe={"w0_mm": 1.0, "g_mm": 1e300, "l": 1},
+                      sensor={"pixel_pitch_mm": 8.0 / 64, "width": 64,
+                              "height": 64},
+                      states=states, postselections=[[0, 0, -1], [0, 0, 1]],
+                      noise=noise)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "state" in err and "post-selection 0" in err
+    assert "no light" in err and "g_mm = 1e+300" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -1.0,
                                     1e300, [1e6]],
                          ids=["nan", "inf", "zero", "negative", "huge", "list"])
@@ -565,6 +601,7 @@ MALFORMED_INPUTS = [
     ("scenario", {"noise.photon_budget": "1e6"}, "'photon_budget'"),
     ("scenario", {"noise.photon_budget": True}, "'photon_budget'"),
     ("scenario", {"noise.seed": True}, "'seed'"),
+    ("scenario", {"output_dir": 5}, "'output_dir'"),
     ("calibration", {"scale_mm": True}, "'scale_mm'"),
     ("calibration", {"origin_mm": ["0", "0"]}, "'origin_mm'"),
     ("calibration", {"orientation_rad": False}, "'orientation_rad'"),
@@ -573,6 +610,8 @@ MALFORMED_INPUTS = [
     ("header", {"width": 256.9}, "'width'"),
     ("header", {"width": "256"}, "'width'"),
     ("header", {"pixel_pitch_mm": str(8.0 / 256)}, "'pixel_pitch_mm'"),
+    ("header", {"intensity_scale": 0}, "'intensity_scale'"),
+    ("header", {"intensity_scale": -1.0}, "'intensity_scale'"),
 ]
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vortexscope import imaging
+from vortexscope.estimation import extract_zip
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, add_shot_noise, fast_sensor,
                                  experiment_ccd, read_image, render, write_image)
@@ -438,6 +439,21 @@ class TestImageIO:
         with pytest.raises(ValueError):
             write_image(self.img, tmp_path / "img.tiff")
 
+    def test_pgm_read_keeps_counts_and_scales_them_on_demand(self, tmp_path):
+        path = tmp_path / "noisy.pgm"
+        write_image(add_shot_noise(self.img, 1e6, seed=3), path)
+        _, comment, _, _, payload = path.read_bytes().split(b"\n", 4)
+        scale = json.loads(comment[1:])["intensity_scale"]
+        raw = np.frombuffer(payload, dtype=">u2").reshape(64, 64)
+        back = read_image(path)
+        assert back.stored.dtype == np.uint16 and back.scale == scale
+        assert np.array_equal(back.stored, raw)
+        assert back.pixels.tobytes() == (raw.astype(float) * scale).tobytes()
+        assert back.pixels is back.pixels
+        assert not back.stored.flags.writeable
+        assert not back.pixels.flags.writeable
+        assert back.max_intensity() == back.pixels.max()
+
     def test_noisy_csv_roundtrip(self, tmp_path):
         noisy = add_shot_noise(self.img, 1e4, seed=9)
         path = tmp_path / "noisy.csv"
@@ -467,6 +483,21 @@ def test_image_rejects_non_finite_pixels(bad):
         IntensityImage(pixels, SensorConfig(pixel_pitch=0.1, width=16, height=16))
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf, 1e305])
+def test_count_image_needs_a_positive_scale_finite_at_full_scale(scale):
+    with pytest.raises(ImageFormatError, match="count scale"):
+        IntensityImage(np.ones((16, 16), np.uint16),
+                       SensorConfig(pixel_pitch=0.1, width=16, height=16),
+                       {}, scale)
+
+
+def test_float_image_takes_scale_one():
+    with pytest.raises(ImageFormatError, match="scale 1"):
+        IntensityImage(np.ones((16, 16)),
+                       SensorConfig(pixel_pitch=0.1, width=16, height=16),
+                       {}, 2.0)
+
+
 def traced_peak(call):
     """call() and the peak of the memory traced while it ran, in bytes."""
     tracemalloc.start()
@@ -494,6 +525,13 @@ class TestFrameMemory:
         payload = img.pixels.size * 2
         block = imaging._QUANTIZE_ROWS * img.sensor.width * 8
         assert peak <= payload + block + self.MIB
+
+    def test_read_and_extract_zip_stay_below_one_float_frame(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        write_image(render(self.field, experiment_ccd()), path)
+        zip_est, peak = traced_peak(lambda: extract_zip(read_image(path)))
+        assert zip_est.pixel_count_used > 0
+        assert peak < 1024 * 1024 * 8
 
     def test_add_shot_noise_allocates_output_and_one_band_per_worker(self):
         img = render(self.field, experiment_ccd())

@@ -283,6 +283,101 @@ def test_extract_zip_band_edge_cases(dark, expected):
         assert outcome[0] is expected
 
 
+# ---------------------------------------------------------------------------
+# Count images against their float view
+# ---------------------------------------------------------------------------
+
+def float_view(img):
+    return IntensityImage(img.pixels, img.sensor)
+
+
+def count_image(counts, scale):
+    height, width = counts.shape
+    return IntensityImage(counts.astype(np.uint16),
+                          SensorConfig(0.1, width, height), {}, scale)
+
+
+def tie_cases(ulps, wanted=4):
+    """(scale, k) pairs where k * scale lands `ulps` ulps from the threshold
+    0.01 * (60000 * scale) in float.  On and above the threshold, only
+    pairs where threshold / scale floors to the wrong side of the answer."""
+    rng = np.random.default_rng(17 + ulps)
+    cases = []
+    while len(cases) < wanted:
+        scale = float(rng.uniform(1e-7, 1e-2))
+        threshold = 0.01 * (60000 * scale)
+        target = threshold
+        for _ in range(abs(ulps)):
+            target = float(np.nextafter(target, ulps * np.inf))
+        k = round(threshold / scale)
+        for candidate in (k - 1, k, k + 1):
+            largest_dark = candidate - (ulps > 0)
+            if candidate * scale == target and (
+                    ulps < 0 or int(threshold / scale) != largest_dark):
+                cases.append((scale, candidate))
+    return cases
+
+
+TIE_CASES = [(ulps, scale, k) for ulps in (-1, 0, 1)
+             for scale, k in tie_cases(ulps)]
+
+
+@pytest.mark.parametrize("ulps, scale, k", TIE_CASES,
+                         ids=[f"{ulps:+d}ulp-{i}" for i, (ulps, _, _)
+                              in enumerate(TIE_CASES)])
+def test_count_threshold_ties_match_float_view(ulps, scale, k):
+    """Counts whose float value sits on the threshold or one ulp off it:
+    one hole of such counts alone, and one mixed with its neighbours."""
+    counts = np.full((24, 32), 60000)
+    counts[:, :2] = 0  # dark exterior on the border
+    alone = counts.copy()
+    alone[8:12, 10:15] = k
+    mixed = counts.copy()
+    mixed[8:14, 10:18] = np.random.default_rng(k).choice([k - 1, k, k + 1],
+                                                          size=(6, 8))
+    outcomes = []
+    for frame in (alone, mixed):
+        img = count_image(frame, scale)
+        outcomes.append(zip_outcome(extract_zip, img))
+        assert outcomes[-1] == zip_outcome(extract_zip, float_view(img))
+    # the lone hole is dark exactly when k * scale does not pass the threshold
+    if ulps <= 0:
+        assert outcomes[0][1] == 20
+    else:
+        assert outcomes[0][0] is NoVortexError
+
+
+@st.composite
+def count_frames(draw):
+    """uint16 counts with a drawn peak and threshold fraction; a drawn
+    share of the pixels sits within two counts of fraction * peak."""
+    height, width = draw(shapes)
+    peak = draw(st.integers(1, 65535))
+    fraction = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    near = int(fraction * peak)
+    counts = np.where(rng.random((height, width)) < draw(st.floats(0.05, 0.9)),
+                      rng.integers(max(near - 2, 0), near + 3, (height, width)),
+                      rng.integers(0, peak + 1, (height, width)))
+    counts[rng.integers(height), rng.integers(width)] = peak
+    return counts, fraction
+
+
+# any positive scale that keeps a full-scale count finite
+count_scales = st.floats(5e-324, sys.float_info.max / 65536)
+
+
+@given(count_frames(), count_scales)
+def test_count_image_extracts_like_its_float_view(frame, scale):
+    counts, fraction = frame
+    img = count_image(counts, scale)
+
+    def extract(image):
+        return extract_zip(image, threshold_fraction=fraction)
+
+    assert zip_outcome(extract, img) == zip_outcome(extract, float_view(img))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
