@@ -161,8 +161,14 @@ def _fmt(value: float) -> str:
 def _render_lit(field, sensor, subject: str) -> imaging.IntensityImage:
     """render(field, sensor), or a ConfigError naming `subject` and g_mm if
     the frame holds no light, as when the vortex is displaced far off the
-    sensor."""
-    image = imaging.render(field, sensor)
+    sensor, or if its field overflows the float range, as the weak-limit
+    Gaussian of a large complex displacement does."""
+    try:
+        image = imaging.render(field, sensor)
+    except imaging.ImageFormatError:
+        raise ConfigError(f"{subject}: the frame renders non-finite "
+                          f"intensities on the sensor "
+                          f"(g_mm = {field.probe.g!r})") from None
     if not image.max_intensity() > 0:
         raise ConfigError(f"{subject}: the frame renders no light on the "
                           f"sensor (g_mm = {field.probe.g!r})")
@@ -271,8 +277,10 @@ def cmd_estimate(args) -> int:
             b = state.bloch()
             fid = ""
             reference = image.provenance.get("state")
-            if reference and "theta" in reference:
-                truth = QubitState(reference["theta"], reference["phi"])
+            if isinstance(reference, dict):
+                with _config_errors(f"{path}: provenance 'state'"):
+                    truth = QubitState(real(reference, "theta"),
+                                       real(reference, "phi"))
                 fid = polarization.fidelity(truth, state)
                 fidelities.append(fid)
             rows.append((path, zip_est.position[0], zip_est.position[1],

@@ -80,15 +80,19 @@ def fast_sensor(w0: float, pixels: int = 512, extent_factor: float = 8.0) -> Sen
                         width=pixels, height=pixels)
 
 
+_INF_BITS = np.float64(np.inf).view(np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class IntensityImage:
     """Nonnegative pixel grid with sensor geometry and provenance record.
 
     `stored` holds float intensities, or native uint16 counts worth `scale`
     each, as a graymap keeps them; float intensities take scale 1.  Counts
-    are never NaN or negative, so only float intensities are scanned.  The
-    peak is taken once, at construction, so `stored` and `pixels` are
-    read-only views.
+    are never NaN or negative, so only float intensities are scanned: one
+    unsigned max over their bit patterns both validates the frame and gives
+    its peak.  The peak is taken once, at construction, so `stored` and
+    `pixels` are read-only views.
     """
 
     stored: np.ndarray
@@ -112,12 +116,20 @@ class IntensityImage:
             stored = stored.astype(float, copy=False)
             if self.scale != 1.0:
                 raise ImageFormatError("float intensities take scale 1")
-            # two reductions, no temporaries; min() is NaN if any pixel is NaN
-            peak = float(stored.max())
-            if not (stored.min() >= 0 and peak < np.inf):
-                raise ImageFormatError(
-                    "pixel intensities must be finite and nonnegative: "
-                    "found NaN/inf or a negative value")
+            # Finite nonnegative doubles order like their bit patterns, all
+            # below +inf's; NaN, inf and every negative value, -0.0 too, lie
+            # at or above it.  Below it, the largest pattern is the peak.
+            top = stored.view(np.uint64).max()
+            if top < _INF_BITS:
+                peak = float(top.view(np.float64))
+            else:
+                # refuse, or accept -0.0: two reductions, no temporaries;
+                # min() is NaN if any pixel is NaN
+                peak = float(stored.max())
+                if not (stored.min() >= 0 and peak < np.inf):
+                    raise ImageFormatError(
+                        "pixel intensities must be finite and nonnegative: "
+                        "found NaN/inf or a negative value")
         stored = stored.view()
         stored.flags.writeable = False
         object.__setattr__(self, "stored", stored)
@@ -151,13 +163,18 @@ def render(field, sensor: SensorConfig,
     """
     xs, ys = sensor.axes()
     x = xs[None, :]
-    if rows_per_chunk is None:
-        pixels = np.asarray(field.intensity(x, ys[:, None]), dtype=float)
-    else:
-        chunks = [np.asarray(field.intensity(x, ys[i:i + rows_per_chunk, None]),
-                             dtype=float)
-                  for i in range(0, sensor.height, rows_per_chunk)]
-        pixels = np.concatenate(chunks, axis=0)
+    # A term displaced beyond the float range squares its offset to inf, so
+    # its Gaussian gives the 0 it would underflow to anyway; a complex shift
+    # can instead give inf or NaN, which IntensityImage refuses.  The
+    # refusal, not a numpy warning, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows_per_chunk is None:
+            pixels = np.asarray(field.intensity(x, ys[:, None]), dtype=float)
+        else:
+            chunks = [np.asarray(field.intensity(
+                          x, ys[i:i + rows_per_chunk, None]), dtype=float)
+                      for i in range(0, sensor.height, rows_per_chunk)]
+            pixels = np.concatenate(chunks, axis=0)
 
     provenance = {
         "mode": getattr(field, "description", "unknown"),
@@ -304,12 +321,15 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
     total = img.pixels.sum()
     if total <= 0:
         raise ValueError("cannot scale a zero image to a photon budget")
-    counts = img.pixels * (photon_budget / total)
+    scale = photon_budget / total
+    counts = np.empty(img.pixels.shape)
     bands = range(0, img.sensor.height, _NOISE_ROWS)
     streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(len(bands))
 
     def draw(start, stream):
+        # each worker scales its own band into the output, then draws on it
         rows = counts[start:start + _NOISE_ROWS]
+        np.multiply(img.pixels[start:start + _NOISE_ROWS], scale, out=rows)
         rows[...] = np.random.Generator(np.random.SFC64(stream)).poisson(rows)
 
     list(_noise_pool().map(draw, bands, streams))

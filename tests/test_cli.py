@@ -434,6 +434,28 @@ def test_frame_without_light_is_config_error(tmp_path, capsys, command, noise):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.filterwarnings("ignore::vortexscope.probefield.TruncationWarning",
+                            "error::RuntimeWarning")
+@pytest.mark.parametrize("mode, g, refusal", [
+    ("approx", 200, "renders non-finite intensities"),
+    ("exact", 1e200, "renders no light"),
+])
+def test_frame_beyond_float_range_is_config_error(tmp_path, capsys, mode, g,
+                                                  refusal):
+    # the weak-limit Gaussian of a large complex displacement overflows; an
+    # exact field displaced by 1e200 squares its offset past the float range
+    cfg = base_config(tmp_path, probe={"w0_mm": 1.0, "g_mm": g, "l": 1},
+                      sensor={"pixel_pitch_mm": 0.1, "width": 64, "height": 64},
+                      states={"kind": "explicit", "theta": 1.0, "phi": 1.3})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--mode", mode,
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "state 0, post-selection 0" in err
+    assert refusal in err and f"g_mm = {float(g)!r}" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -1.0,
                                     1e300, [1e6]],
                          ids=["nan", "inf", "zero", "negative", "huge", "list"])
@@ -612,6 +634,10 @@ MALFORMED_INPUTS = [
     ("header", {"pixel_pitch_mm": str(8.0 / 256)}, "'pixel_pitch_mm'"),
     ("header", {"intensity_scale": 0}, "'intensity_scale'"),
     ("header", {"intensity_scale": -1.0}, "'intensity_scale'"),
+    ("header", {"provenance.state": {"theta": 0.7}}, "'phi'"),
+    ("header", {"provenance.state": {"theta": None, "phi": 0.0}}, "'theta'"),
+    ("header", {"provenance.state": {"theta": "0.7", "phi": 0.0}}, "'theta'"),
+    ("header", {"provenance.state": {"phi": 0.0}}, "'theta'"),
 ]
 
 

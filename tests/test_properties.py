@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -403,3 +403,77 @@ def test_converters_accept_only_their_numbers(value):
     else:
         with pytest.raises(ValueError, match="'field'"):
             integer(section, "field")
+
+
+# ---------------------------------------------------------------------------
+# Float frame check against the two-reduction check it replaced
+# ---------------------------------------------------------------------------
+
+def two_reduction_check(pixels):
+    """(peak, None) or (None, message): one max() and one min() over the
+    frame, as IntensityImage checked float frames before."""
+    peak = float(pixels.max())
+    if not (pixels.min() >= 0 and peak < np.inf):
+        return None, ("pixel intensities must be finite and nonnegative: "
+                      "found NaN/inf or a negative value")
+    return peak, None
+
+
+def bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+# NaN of both signs, quiet and signalling, beside zeros, subnormals and
+# the ends of the float range
+SPECIAL_PIXELS = (
+    [0.0, -0.0, 5e-324, 2.2250738585072009e-308, sys.float_info.max,
+     np.inf, np.inf, -np.inf, -5e-324, -1.0]
+    + [np.uint64(b).view(np.float64) for b in
+       (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+        0xFFF0000000000001)])
+
+
+@st.composite
+def float_frames(draw):
+    """A nonnegative finite frame with up to three special pixels, laid out
+    C-ordered, Fortran-ordered or as a reversed strided view whose skipped
+    elements are NaN."""
+    height, width = draw(shapes)
+    frame = draw(arrays(np.float64, (height, width),
+                        elements=st.floats(0.0, sys.float_info.max),
+                        fill=st.sampled_from([0.0, 5e-324, 1.0])))
+    for _ in range(draw(st.integers(0, 3))):
+        frame[draw(st.integers(0, height - 1)),
+              draw(st.integers(0, width - 1))] = draw(
+            st.sampled_from(SPECIAL_PIXELS))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(frame)
+    if layout == "strided":
+        padded = np.full((2 * height, 2 * width), np.nan)
+        padded[::2, ::2] = frame[::-1]
+        return padded[::2, ::2][::-1]
+    return frame
+
+
+def frame_with(value):
+    frame = np.ones((16, 16))
+    frame[5, 7] = value
+    return frame
+
+
+# the pattern of +inf itself, and -0.0, the one pattern above it accepted
+@example(frame_with(np.inf))
+@example(frame_with(-0.0))
+@given(float_frames())
+def test_float_frame_check_matches_two_reductions(frame):
+    expected_peak, expected_refusal = two_reduction_check(frame)
+    height, width = frame.shape
+    try:
+        image = IntensityImage(frame, SensorConfig(0.1, width, height))
+    except ImageFormatError as refusal:
+        assert str(refusal) == expected_refusal
+        return
+    assert expected_refusal is None
+    assert bits(image.max_intensity()) == bits(expected_peak)
+    assert np.array_equal(image.pixels, frame)
