@@ -5,9 +5,9 @@ reconstruction from several post-selections.
 """
 
 from .polarization import (BlochVector, JonesOperator, QubitState,
-                           apply_jones, apply_waveplate, bloch_eigenstates,
-                           equator_path, fidelity, half_wave_plate,
-                           infinity_path, quarter_wave_plate, wave_plate)
+                           apply_jones, apply_waveplate, equator_path,
+                           fidelity, half_wave_plate, infinity_path,
+                           quarter_wave_plate, wave_plate)
 from .weakvalue import (SOUTH_POLE, PointAtInfinityError, PoleStateError,
                         WeakValue, ZeroPostselectionError,
                         stereographic_invert, stereographic_project,

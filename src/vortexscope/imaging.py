@@ -522,7 +522,10 @@ def _read_csv(path) -> IntensityImage:
         raise ImageFormatError(
             f"{path}: header geometry {sensor.height}x{sensor.width} "
             f"does not match payload {pixels.shape}")
-    return IntensityImage(pixels, sensor, provenance)
+    try:
+        return IntensityImage(pixels, sensor, provenance)
+    except ValueError as bad:
+        raise ImageFormatError(f"{path}: {bad}") from None
 
 
 def read_image(path) -> IntensityImage:

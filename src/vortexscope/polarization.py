@@ -107,19 +107,6 @@ class BlochVector:
         return cls(r[0], r[1], r[2])
 
 
-def bloch_eigenstates(rho: BlochVector):
-    """Eigendecomposition of the density operator with Bloch vector rho.
-
-    Returns [(p_plus, r_hat), (p_minus, -r_hat)] with probabilities
-    (1 +- |rho|)/2.  The maximally mixed state decomposes along z.
-    """
-    r = rho.as_array()
-    n = np.linalg.norm(r)
-    axis = r / n if n > 1e-12 else np.array([0.0, 0.0, 1.0])
-    return [((1 + n) / 2, BlochVector.from_array(axis)),
-            ((1 - n) / 2, BlochVector.from_array(-axis))]
-
-
 # ---------------------------------------------------------------------------
 # Jones calculus
 # ---------------------------------------------------------------------------

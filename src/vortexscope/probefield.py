@@ -3,10 +3,11 @@ post-selected probe field (exact two-component form and the weak-limit
 complex-displaced vortex), and closed-form intensity centroids with their
 quadrature oracle.
 
-Every field is a short list of displaced vortex terms, (coefficient,
-shift) pairs, evaluated by one routine over physical (x, y) coordinates:
-pointwise on full meshgrids for quadrature and root finding, separably on
-an open pixel grid for rendering.  Lengths are in millimeters throughout.
+A pure field is a short list of displaced vortex terms, (coefficient,
+shift) pairs, and a mixture a coherence matrix over two such terms; one
+routine evaluates both over physical (x, y) coordinates: pointwise on
+full meshgrids for quadrature and root finding, separably on an open pixel
+grid for rendering.  Lengths are in millimeters throughout.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .polarization import BlochVector, QubitState, bloch_eigenstates
-from .weakvalue import (SOUTH_POLE, PoleStateError, rotate_to_south,
-                        weak_value_mixed, weak_value_pure)
+from .polarization import BlochVector, QubitState
+from .weakvalue import (SOUTH_POLE, PoleStateError, projection_frame,
+                        rotate_to_south, weak_value_mixed, weak_value_pure)
 
 # Sign of the intensity-centroid y coordinate relative to Im(w), fixed once by
 # the quadrature oracle: the centroid sits on the opposite side of the x axis
@@ -99,6 +100,14 @@ def _intensity(b, y, w0):
     return out
 
 
+def _correlate(p, q):
+    """c[n] = sum_j p[j] conj(q[n - j]): the y-polynomial p(y) conj(q(y))."""
+    l = len(p) - 1
+    return [sum(p[j] * np.conj(q[n - j])
+                for j in range(max(0, n - l), min(n, l) + 1))
+            for n in range(2 * l + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexField:
     """Sum of displaced vortex terms held as (c, s) pairs:
@@ -116,8 +125,8 @@ class ComplexField:
     description: str
     weak_value: Optional[complex] = None
 
-    def _coefficients(self, x):
-        """a[j](x) with amplitude = exp(-y^2/4 w0^2) sum_j a[j] (iy)^j."""
+    def _polynomial(self, x):
+        """p[j](x) with amplitude = exp(-y^2/4 w0^2) sum_j p[j] y^j."""
         l, k = self.probe.l, -0.25 / self.probe.w0 ** 2
         x = np.asarray(x, dtype=float)
         # a[j] = C(l, j) sum_k c_k N u_k^(l-j) exp(-u_k^2/4 w0^2), u_k = x - s_k
@@ -129,22 +138,19 @@ class ComplexField:
                 a[j] = a[j] + math.comb(l, j) * term
                 if j:
                     term = term * u
-        return a
+        return [aj * 1j ** j for j, aj in enumerate(a)]  # p[j] = i^j a[j]
 
     def intensity_coefficients(self, x):
         """Real b[n](x) with |amplitude|^2 = exp(-y^2/2 w0^2) sum_n b[n] y^n."""
-        p = [aj * 1j ** j for j, aj in enumerate(self._coefficients(x))]
-        l = len(p) - 1
-        return [sum(np.real(p[j] * np.conj(p[n - j]))
-                    for j in range(max(0, n - l), min(n, l) + 1))
-                for n in range(2 * l + 1)]
+        p = self._polynomial(x)
+        return [np.real(c) for c in _correlate(p, p)]
 
     def amplitude(self, x, y):
-        a = self._coefficients(x)
+        p = self._polynomial(x)
         y = np.asarray(y, dtype=float)
-        out = a[-1]
-        for coeff in reversed(a[:-1]):  # Horner in iy
-            out = out * (1j * y) + coeff
+        out = p[-1]
+        for coeff in reversed(p[:-1]):  # Horner in y
+            out = out * y + coeff
         return out * np.exp(y * y * (-0.25 / self.probe.w0 ** 2))
 
     __call__ = amplitude
@@ -160,23 +166,24 @@ class ComplexField:
 
 @dataclass(frozen=True, eq=False)
 class MixedField:
-    """Probability-weighted incoherent sum of post-selected pure fields,
-    evaluated as one real polynomial with weight-summed coefficients."""
+    """Intensity Re sum_st M_st p_s p_t* of a Hermitian coherence matrix M
+    over basis fields p_s; `weak_value` is the mixture's, and sizes the
+    window as it does for a pure field."""
 
-    components: tuple  # of (weight, ComplexField)
+    basis: tuple  # of ComplexField
+    coherence: np.ndarray  # M, indexed like basis
     probe: ProbeConfig
     description: str
     weak_value: Optional[complex] = None
 
     def intensity_coefficients(self, x):
-        parts = [[weight * b for b in comp.intensity_coefficients(x)]
-                 for weight, comp in self.components]
-        return [sum(bs) for bs in zip(*parts)]
+        p = [field._polynomial(x) for field in self.basis]
+        parts = [[m * c for c in _correlate(p[s], p[t])]
+                 for (s, t), m in np.ndenumerate(self.coherence)]
+        return [np.real(sum(cs)) for cs in zip(*parts)]
 
     intensity = ComplexField.intensity
-
-    def min_extent(self) -> float:
-        return max(comp.min_extent() for _, comp in self.components)
+    min_extent = ComplexField.min_extent
 
 
 def lg_field(cfg: ProbeConfig) -> ComplexField:
@@ -227,7 +234,8 @@ def approx_field(cfg: ProbeConfig, state: QubitState,
     """Weak-limit field <1|psi> phi_i(x - G w, y) with complex displacement.
 
     The squared magnitude is the displaced-vortex intensity whose zero sits
-    at (G Re w, G Im w).  Valid for any vortex charge l >= 1.
+    at (G Re w, G Im w).  It evaluates for any l >= 1, but for l >= 2 the
+    exact field has l charge-1 zeros spread by O(G), not one charge-l zero.
     """
     work_state = rotate_to_south(state, postselection)
     w = weak_value_pure(work_state).value  # raises at the theta = 0 pole
@@ -242,15 +250,21 @@ def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
 
 def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,
                       postselection: BlochVector = SOUTH_POLE) -> MixedField:
-    """Post-selected intensity of a mixed state as a weighted sum of the
-    exact pure-component intensities (eigendecomposition of rho)."""
-    components = []
-    for weight, axis in bloch_eigenstates(rho):
-        if weight < 1e-15:
-            continue
-        components.append((weight, exact_field(cfg, axis.to_state(), postselection)))
+    """Exact post-selected intensity of rho = (1 + r.sigma)/2; l = 1 only.
+
+    Coherence M_st = <f|s><s|rho|t><t|f> over the unit exact terms
+    phi_1(x -+ G, y); with pole p = -f and e_hat = p x x_hat it is
+    1/4 [[1 - r.x_hat, -(r.p - i r.e_hat)], [-(r.p + i r.e_hat), 1 + r.x_hat]].
+    """
+    if cfg.l != 1:
+        raise ValueError("the exact post-selected field is defined for l = 1")
     w_mix = weak_value_mixed(rho, postselection).value
-    return MixedField(tuple(components), cfg, "mixture", weak_value=w_mix)
+    p, e_hat = projection_frame(postselection)
+    r = rho.as_array()
+    off = -(r @ p - 1j * (r @ e_hat))
+    coherence = 0.25 * np.array([[1.0 - r[0], off], [np.conj(off), 1.0 + r[0]]])
+    basis = tuple(ComplexField(((1.0, s),), cfg, "exact") for s in (-cfg.g, cfg.g))
+    return MixedField(basis, coherence, cfg, "mixture", weak_value=w_mix)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
                              build_parser, main)
 from vortexscope.estimation import Calibration
-from vortexscope.imaging import ImageFormatError, IntensityImage, read_image
+from vortexscope.imaging import (ImageFormatError, IntensityImage,
+                                 read_image, write_image)
 from vortexscope.polarization import QubitState
 
 
@@ -296,6 +297,21 @@ class TestEstimate:
                      str(path)]) == EXIT_ESTIMATION
         (row,) = csv.DictReader(csv_lines(out_csv))
         assert row["error"] == f"error: {path}: {message}"
+
+    def test_nonfinite_csv_cell_is_error_row_naming_the_file(self, tmp_path):
+        frame = self.simulate_sweep(tmp_path, steps=2)[0]
+        path = tmp_path / "bad.csv"
+        write_image(read_image(frame), path)
+        rows = path.read_text().splitlines()
+        rows[3] = "nan" + rows[3][rows[3].index(","):]
+        path.write_text("\n".join(rows) + "\n")
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     str(path)]) == EXIT_ESTIMATION
+        (row,) = csv.DictReader(csv_lines(out_csv))
+        assert row["error"].startswith(f"error: {path}: pixel intensities "
+                                       "must be finite")
 
     def test_pgm_shrinking_after_size_check_is_error_row(self, tmp_path,
                                                           monkeypatch):
@@ -607,7 +623,8 @@ def test_bad_threshold_fraction_is_usage_error(tmp_path, capsys, command,
 # Each input below was accepted, or crashed with a traceback, before the
 # scenario, calibration and image-header readers shared one rule for reals
 # and integers.  A patch maps "section.field" or "field" to a new value in
-# the scenario, in the calibration file or in one frame's JSON header.
+# the scenario (run by `simulate`, or by `tomo` with a Bloch-vector state),
+# in the calibration file or in one frame's JSON header.
 MALFORMED_INPUTS = [
     ("scenario", {"probe.w0_mm": "1.0"}, "'w0_mm'"),
     ("scenario", {"probe.g_mm": True}, "'g_mm'"),
@@ -624,6 +641,7 @@ MALFORMED_INPUTS = [
     ("scenario", {"noise.photon_budget": True}, "'photon_budget'"),
     ("scenario", {"noise.seed": True}, "'seed'"),
     ("scenario", {"output_dir": 5}, "'output_dir'"),
+    ("tomo", {"probe.l": 2}, "Bloch state at post-selection 0"),
     ("calibration", {"scale_mm": True}, "'scale_mm'"),
     ("calibration", {"origin_mm": ["0", "0"]}, "'origin_mm'"),
     ("calibration", {"orientation_rad": False}, "'orientation_rad'"),
@@ -657,12 +675,17 @@ def patched(text: str, patch: dict) -> str:
          for source, patch, _ in MALFORMED_INPUTS])
 def test_malformed_input_is_refused_naming_its_field(tmp_path, capsys, source,
                                                      patch, named):
-    cfg = Path(base_config(tmp_path, noise={"photon_budget": 1e5, "seed": 1}))
-    if source == "scenario":
+    tomo = ({"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
+             "postselections": [[0, 0, -1], [0, 0, 1]]}
+            if source == "tomo" else {})
+    cfg = Path(base_config(tmp_path, noise={"photon_budget": 1e5, "seed": 1},
+                           **tomo))
+    if source in ("scenario", "tomo"):
         cfg.write_text(patched(cfg.read_text(), patch))
     sim = tmp_path / "sim"
-    code = main(["simulate", "--config", str(cfg), "--out", str(sim)])
-    if source == "scenario":
+    code = main(["tomo" if tomo else "simulate", "--config", str(cfg),
+                 "--out", str(sim)])
+    if source in ("scenario", "tomo"):
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
         return

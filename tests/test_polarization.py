@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from vortexscope.polarization import (BlochVector, QubitState, apply_jones,
-                                      apply_waveplate, bloch_eigenstates,
-                                      equator_path, fidelity,
+                                      apply_waveplate, equator_path, fidelity,
                                       half_wave_plate, infinity_path,
                                       quarter_wave_plate, state_csv_row,
                                       wave_plate)
@@ -82,15 +81,6 @@ class TestBlochVector:
     def test_mixed_vector_has_no_state(self):
         with pytest.raises(ValueError):
             BlochVector(0.2, 0.0, 0.0).to_state()
-
-    def test_eigenstates_of_mixture(self):
-        pairs = bloch_eigenstates(BlochVector(0.3, -0.2, 0.4))
-        probs = [p for p, _ in pairs]
-        norm = np.sqrt(0.3 ** 2 + 0.2 ** 2 + 0.4 ** 2)
-        assert probs[0] == pytest.approx((1 + norm) / 2)
-        assert sum(probs) == pytest.approx(1.0)
-        recomposed = sum(p * v.as_array() for p, v in pairs)
-        assert np.allclose(recomposed, [0.3, -0.2, 0.4], atol=1e-12)
 
 
 class TestWavePlates:

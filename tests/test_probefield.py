@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from vortexscope.imaging import fast_sensor, render
 from vortexscope.polarization import BlochVector, QubitState
 from vortexscope.probefield import (CENTROID_IM_SIGN, ProbeConfig,
                                     TruncationWarning, ZeroFieldError,
@@ -11,7 +14,8 @@ from vortexscope.probefield import (CENTROID_IM_SIGN, ProbeConfig,
                                     exact_postselected_field, lg_amplitude,
                                     lg_field, mixed_exact_field,
                                     overlap_factor, quadrature_norm)
-from vortexscope.weakvalue import PoleStateError, weak_value_pure
+from vortexscope.weakvalue import (SOUTH_POLE, PoleStateError,
+                                   ZeroPostselectionError, weak_value_pure)
 
 W0 = 1.0
 PROBE = ProbeConfig(w0=W0, g=0.05)
@@ -287,33 +291,90 @@ class TestMirrorSymmetry:
                 assert np.max(np.abs(a - b)) < 1e-12
 
 
+TILTED = BlochVector(0.0, np.sin(0.4), -np.cos(0.4))
+
+
+def eigen_mixture(cfg, rho, postselection):
+    """Test-local oracle: the eigendecomposition of rho into the pure
+    states +-r_hat with probabilities (1 +- |r|)/2 (the maximally mixed
+    state splits along z), each with its exact post-selected field."""
+    r = rho.as_array()
+    n = np.linalg.norm(r)
+    axis = r / n if n > 1e-12 else np.array([0.0, 0.0, 1.0])
+    pairs = [((1 + n) / 2, axis), ((1 - n) / 2, -axis)]
+    assert sum(p for p, _ in pairs) == pytest.approx(1.0)
+    assert np.allclose(sum(p * v for p, v in pairs), r, atol=1e-12)
+    return [(p, exact_field(cfg, BlochVector(*v).to_state(), postselection))
+            for p, v in pairs]
+
+
 class TestMixedField:
+    RHO = BlochVector(0.3, -0.2, 0.4)
+
     def test_mixture_mass_is_weighted_sum(self):
-        rho = BlochVector(0.3, -0.2, 0.4)
-        field = mixed_exact_field(PROBE, rho)
-        total = quadrature_norm(field, 512)
-        expected = sum(weight * quadrature_norm(comp, 512)
-                       for weight, comp in field.components)
+        field = mixed_exact_field(PROBE, self.RHO)
+        total = quadrature_norm(field, 512, extent=16 * W0)
+        expected = sum(weight * quadrature_norm(comp, 512, extent=16 * W0)
+                       for weight, comp in eigen_mixture(PROBE, self.RHO,
+                                                         SOUTH_POLE))
         assert total == pytest.approx(expected, rel=1e-12)
 
     def test_core_is_filled_but_dark(self):
-        rho = BlochVector(0.3, -0.2, 0.4)
-        field = mixed_exact_field(PROBE, rho)
+        field = mixed_exact_field(PROBE, self.RHO)
         w = field.weak_value
         core = field.intensity(PROBE.g * w.real, PROBE.g * w.imag)
         ring = field.intensity(np.sqrt(2) * W0, 0.0)
         assert 0 < core < 0.02 * ring
 
-    def test_intensity_is_weighted_sum_of_components(self):
-        field = mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4),
-                                  BlochVector(0.0, np.sin(0.4), -np.cos(0.4)))
+    def assert_matches_eigen_mixture(self, rho, postselection):
+        field = mixed_exact_field(PROBE, rho, postselection)
         xs = np.linspace(-3 * W0, 3 * W0, 181)
         xg, yg = np.meshgrid(xs, xs)
         summed = sum(weight * comp.intensity(xg, yg)
-                     for weight, comp in field.components)
-        assert len(field.components) == 2
+                     for weight, comp in eigen_mixture(PROBE, rho,
+                                                       postselection))
         assert np.max(np.abs(field.intensity(xg, yg) - summed)) \
             <= 1e-14 * summed.max()
+
+    def test_intensity_is_weighted_sum_of_components(self):
+        self.assert_matches_eigen_mixture(self.RHO, TILTED)
+
+    @pytest.mark.parametrize("rho", [BlochVector(0.0, 0.0, 0.0),
+                                     QubitState(1.1, 2.4).bloch()],
+                             ids=["center", "pure"])
+    @pytest.mark.parametrize("postselection", [SOUTH_POLE, TILTED],
+                             ids=["south", "tilted"])
+    def test_eigen_mixture_across_the_ball(self, rho, postselection):
+        self.assert_matches_eigen_mixture(rho, postselection)
+
+    @pytest.mark.parametrize("postselection", [SOUTH_POLE, TILTED],
+                             ids=["south", "tilted"])
+    def test_zero_coupling_scales_the_undisplaced_vortex(self, postselection):
+        # post-selection succeeds with probability (1 - r.p)/2, pole p = -f
+        cfg = ProbeConfig(w0=W0, g=0.0)
+        rho = BlochVector(0.0, 0.0, 0.5)
+        field = mixed_exact_field(cfg, rho, postselection)
+        xs = np.linspace(-3 * W0, 3 * W0, 121)
+        xg, yg = np.meshgrid(xs, xs)
+        success = (1 - rho.as_array() @ -postselection.as_array()) / 2
+        expected = success * lg_field(cfg).intensity(xg, yg)
+        assert np.max(np.abs(field.intensity(xg, yg) - expected)) \
+            <= 1e-14 * expected.max()
+
+    def test_zero_coupling_at_the_pole_never_succeeds(self):
+        with pytest.raises(ZeroPostselectionError):
+            mixed_exact_field(ProbeConfig(w0=W0, g=0.0),
+                              BlochVector(0.0, 0.0, 1.0))
+
+    def test_window_follows_the_mixture_weak_value(self):
+        # one eigenstate has |w| = 34, the mixture |w| = 1/3: the fast
+        # sensor's 8 w0 window holds the mixture's annulus
+        probe = ProbeConfig(w0=W0, g=0.1)
+        field = mixed_exact_field(probe, BlochVector(0.05, 0.0, 0.85))
+        assert field.min_extent() == pytest.approx(4.2 * W0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            render(field, fast_sensor(W0))
 
 
 def horner_intensity(b, y, w0):

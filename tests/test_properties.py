@@ -18,6 +18,7 @@ from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, integer, read_image, real,
                                  reals, write_image)
 from vortexscope.polarization import BlochVector, QubitState
+from vortexscope.probefield import ProbeConfig, exact_field, mixed_exact_field
 from vortexscope.weakvalue import (rotate_to_south, stereographic_invert,
                                    stereographic_project, weak_value_mixed,
                                    weak_value_pure)
@@ -80,6 +81,43 @@ def test_reconstruct_mixed_recovers_exactly(r, offset, origin, scale,
     result = reconstruct_mixed(observations)
     assert np.max(np.abs(result.bloch.as_array() - rho.as_array())) < 1e-9
     assert result.residual < 1e-9 and not result.clipped
+
+
+MIXED_PROBE = ProbeConfig(w0=1.0, g=0.3)
+MIXED_AXIS = np.linspace(-4.0, 4.0, 41)
+vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+
+
+def mixed_intensity(r, postselection):
+    field = mixed_exact_field(MIXED_PROBE, BlochVector(*r), postselection)
+    return field.intensity(MIXED_AXIS[None, :], MIXED_AXIS[:, None])
+
+
+@given(vectors, vectors, frame_angles)
+def test_mixed_intensity_is_affine_in_the_bloch_vector(r1, r2, angle):
+    assume(max(np.linalg.norm(r1), np.linalg.norm(r2)) <= 1.0)
+    postselection = postselection_at(angle)
+    f = postselection.as_array()
+    # post-selection succeeds: r is not the pole p = -f
+    assume(min(1.0 + r1 @ f, 1.0 + r2 @ f) > 1e-6)
+    a, b = mixed_intensity(r1, postselection), mixed_intensity(r2, postselection)
+    middle = mixed_intensity((r1 + r2) / 2, postselection)
+    assert np.max(np.abs(middle - (a + b) / 2)) \
+        <= 1e-14 * max(a.max(), b.max())
+
+
+@given(vectors, frame_angles)
+def test_mixed_field_of_a_pure_state_is_its_exact_field(r, angle):
+    assume(np.linalg.norm(r) > 0.1)
+    r = r / np.linalg.norm(r)
+    postselection = postselection_at(angle)
+    assume(np.linalg.norm(r + postselection.as_array()) > 1e-3)
+    pure = exact_field(MIXED_PROBE, BlochVector(*r).to_state(), postselection)
+    expected = pure.intensity(MIXED_AXIS[None, :], MIXED_AXIS[:, None])
+    # to_state reads theta through arccos, which loses half the digits
+    # next to the z poles
+    assert np.max(np.abs(mixed_intensity(r, postselection) - expected)) \
+        <= 1e-8 * expected.max()
 
 
 @pytest.fixture(scope="module")
