@@ -216,7 +216,6 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out or output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    margin_threshold = args.margin_threshold
     rows = []
     for index, state in enumerate(states):
         for p_index, postselection in enumerate(postselections):
@@ -225,9 +224,9 @@ def cmd_simulate(args) -> int:
             # the weak value diverges at the pole: no margin to report
             margin = (0.0 if field.weak_value is None else
                       weakvalue.weak_condition_margin(field.weak_value, probe))
-            if 0 < margin < margin_threshold:
+            if 0 < margin < MARGIN_WARN_THRESHOLD:
                 print(f"WARNING: weak-condition margin {margin:.2f} < "
-                      f"{margin_threshold} for state {index}; the "
+                      f"{MARGIN_WARN_THRESHOLD} for state {index}; the "
                       "displaced-vortex reading is unreliable",
                       file=sys.stderr)
             image = _render_lit(field, sensor,
@@ -435,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--mode", choices=("exact", "approx"), default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--margin-threshold", type=float,
-                       default=MARGIN_WARN_THRESHOLD, dest="margin_threshold")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate states from image files")

@@ -92,14 +92,10 @@ class BlochVector:
         """Convert a unit vector back to (theta, phi); errors if mixed."""
         if abs(self.norm() - 1.0) > tol:
             raise ValueError("only unit Bloch vectors correspond to pure states")
-        theta = 0.5 * np.arccos(np.clip(self.z, -1.0, 1.0))
+        # arctan2 keeps every digit of theta next to the z poles
+        theta = 0.5 * np.arctan2(np.hypot(self.x, self.y), self.z)
         phi = np.arctan2(self.y, self.x)
         return QubitState(theta, phi)
-
-    def rotated_about_x(self, beta: float) -> "BlochVector":
-        c, s = np.cos(beta), np.sin(beta)
-        return BlochVector(self.x, c * self.y - s * self.z,
-                           s * self.y + c * self.z)
 
     @classmethod
     def from_array(cls, r) -> "BlochVector":

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .polarization import BlochVector, QubitState
-from .weakvalue import (SOUTH_POLE, PoleStateError, projection_frame,
-                        rotate_to_south, weak_value_mixed, weak_value_pure)
+from .weakvalue import (SOUTH_POLE, PoleStateError, pointer_amplitudes,
+                        projection_frame, weak_value_mixed, weak_value_pure)
 
 # Sign of the intensity-centroid y coordinate relative to Im(w), fixed once by
 # the quadrature oracle: the centroid sits on the opposite side of the x axis
@@ -195,33 +195,31 @@ def lg_amplitude(cfg: ProbeConfig, x, y):
     return lg_field(cfg).amplitude(x, y)
 
 
+def _exact_shifts(cfg: ProbeConfig):
+    """Shifts -G and +G of the exact field's two terms, defined for l = 1."""
+    if cfg.l != 1:
+        raise ValueError("the exact post-selected field is defined for l = 1")
+    return -cfg.g, cfg.g
+
+
 def exact_field(cfg: ProbeConfig, state: QubitState,
                 postselection: BlochVector = SOUTH_POLE) -> ComplexField:
     """Post-selected field without the weak approximation.  Requires l = 1.
 
-    Two displaced vortex components phi_i(x -+ G, y) interfere with
-    coefficients <1|+-><+-|psi>, a form valid at the poles where the weak
-    value itself diverges; it equals (<1|psi>/2)(1 +- w) away from them.
-    The overall factor carries the post-selection amplitude, so the field
-    is deliberately not renormalized.  Post-selections other than |1> are
-    handled by rotating the scene about the x axis (which commutes with the
-    measurement coupling) so the requested post-selection becomes the
-    south pole.
+    Two displaced vortex components phi_1(x -+ G, y) interfere with the
+    pointer amplitudes a_-+ = <f|-+><-+|psi> of `pointer_amplitudes`, a
+    form valid at the pole where the weak value itself diverges; it equals
+    (<f|psi>/2)(1 +- w) away from it.  The overall factor carries the
+    post-selection amplitude, so the field is deliberately not renormalized.
     """
-    if cfg.l != 1:
-        raise ValueError("the exact post-selected field is defined for l = 1")
-    work_state = rotate_to_south(state, postselection)
-    try:
-        w = weak_value_pure(work_state).value
-    except PoleStateError:
-        # with zero coupling the components coincide and sum to <1|psi> = 0
-        if cfg.g == 0.0:
-            raise ZeroFieldError("post-selection never succeeds: "
-                                 "pole input with zero coupling") from None
-        w = None
-    c0, c1 = work_state.amplitudes()
-    terms = ((-(c0 - c1) / 2.0, -cfg.g), ((c0 + c1) / 2.0, cfg.g))
-    return ComplexField(terms, cfg, "exact", weak_value=w)
+    shifts = _exact_shifts(cfg)
+    amplitudes, _, w = pointer_amplitudes(state, postselection)
+    if w is None and cfg.g == 0.0:
+        # with zero coupling the components coincide and sum to <f|psi> = 0
+        raise ZeroFieldError("post-selection never succeeds: "
+                             "pole input with zero coupling")
+    return ComplexField(tuple(zip(amplitudes, shifts)), cfg, "exact",
+                        weak_value=w)
 
 
 def exact_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
@@ -231,16 +229,17 @@ def exact_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
 
 def approx_field(cfg: ProbeConfig, state: QubitState,
                  postselection: BlochVector = SOUTH_POLE) -> ComplexField:
-    """Weak-limit field <1|psi> phi_i(x - G w, y) with complex displacement.
+    """Weak-limit field <f|psi> phi_l(x - G w, y) with complex displacement.
 
     The squared magnitude is the displaced-vortex intensity whose zero sits
     at (G Re w, G Im w).  It evaluates for any l >= 1, but for l >= 2 the
     exact field has l charge-1 zeros spread by O(G), not one charge-l zero.
     """
-    work_state = rotate_to_south(state, postselection)
-    w = weak_value_pure(work_state).value  # raises at the theta = 0 pole
-    c1 = work_state.amplitudes()[1]
-    return ComplexField(((c1, cfg.g * w),), cfg, "approx", weak_value=w)
+    _, overlap, w = pointer_amplitudes(state, postselection)
+    if w is None:
+        raise PoleStateError("weak value diverges: the state is the "
+                             "projection pole of the post-selection")
+    return ComplexField(((overlap, cfg.g * w),), cfg, "approx", weak_value=w)
 
 
 def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
@@ -256,14 +255,13 @@ def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,
     phi_1(x -+ G, y); with pole p = -f and e_hat = p x x_hat it is
     1/4 [[1 - r.x_hat, -(r.p - i r.e_hat)], [-(r.p + i r.e_hat), 1 + r.x_hat]].
     """
-    if cfg.l != 1:
-        raise ValueError("the exact post-selected field is defined for l = 1")
+    shifts = _exact_shifts(cfg)
     w_mix = weak_value_mixed(rho, postselection).value
     p, e_hat = projection_frame(postselection)
     r = rho.as_array()
     off = -(r @ p - 1j * (r @ e_hat))
     coherence = 0.25 * np.array([[1.0 - r[0], off], [np.conj(off), 1.0 + r[0]]])
-    basis = tuple(ComplexField(((1.0, s),), cfg, "exact") for s in (-cfg.g, cfg.g))
+    basis = tuple(ComplexField(((1.0, s),), cfg, "exact") for s in shifts)
     return MixedField(basis, coherence, cfg, "mixture", weak_value=w_mix)
 
 

@@ -9,8 +9,8 @@ x_hat and e_hat = p x x_hat (real part along x_hat, imaginary part along
 values are no longer projection points.
 
 This module owns the post-selection frame: the orthogonality check, the
-rotation about x onto |1>, and the plane spanned by x_hat and e_hat.  Other
-modules ask it for these rather than deriving them.
+plane spanned by x_hat and e_hat, and the pointer amplitudes of a pure state
+in that frame.  Other modules ask it for these rather than deriving them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 SOUTH_POLE = BlochVector(0.0, 0.0, -1.0)
 
 _ORTHO_TOL = 1e-9
+_POLE_TOL = 1e-12  # |<f|psi>| (theta at |1>) below which w diverges
 
 
 class PoleStateError(ValueError):
@@ -66,20 +67,25 @@ def projection_line(w: complex, postselection: BlochVector):
     return p, w.real * X_AXIS - w.imag * e_hat
 
 
-def rotate_to_south(state: QubitState, postselection: BlochVector) -> QubitState:
-    """The state in the frame where the post-selection f is |1>.
+def pointer_amplitudes(state: QubitState, postselection: BlochVector = SOUTH_POLE):
+    """Amplitudes (a_-, a_+) = <f|-+><-+|psi> of the two pointer components,
+    <f|psi> = a_- + a_+ and the weak value w = (a_+ - a_-) / (a_+ + a_-),
+    which is None where <f|psi> vanishes (the state is the pole p = -f).
 
-    With beta such that rotating the south pole by beta about x gives f,
-    the state's Bloch vector is rotated by -beta about x.  The rotation
-    commutes with the sigma_x coupling, so any allowed post-selection
-    reduces to the south-pole formulas; at the south pole itself the state
-    is returned unchanged.
+    Up to the common phase of <f|, with e_hat = (0, cos b, sin b) from
+    projection_frame and (c0, c1) the state's amplitudes:
+    a_- = -(c0 - c1)/2 and a_+ = e^{ib} (c0 + c1)/2.  The sum and
+    difference are grouped by c0 and c1, so at the south pole <f|psi> is c1
+    itself and w is c0/c1, with no digits lost next to the pole.
     """
-    f = _check_postselection(postselection)
-    beta = float(np.arctan2(f[1], -f[2]))
-    if beta == 0.0:
-        return state
-    return state.bloch().rotated_about_x(-beta).to_state()
+    _, e_hat = projection_frame(postselection)
+    c0, c1 = state.amplitudes()
+    e = complex(e_hat[1], e_hat[2])
+    overlap = ((e - 1.0) * c0 + (e + 1.0) * c1) / 2.0
+    w = None
+    if abs(overlap) >= _POLE_TOL:
+        w = complex(((e + 1.0) * c0 + (e - 1.0) * c1) / (2.0 * overlap))
+    return (-(c0 - c1) / 2.0, e * (c0 + c1) / 2.0), overlap, w
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class WeakValue:
 
 def weak_value_pure(state: QubitState) -> WeakValue:
     """Weak value e^{-i phi} cot(theta) for post-selection |1>."""
-    if state.theta < 1e-12:
+    if state.theta < _POLE_TOL:
         raise PoleStateError("weak value diverges for the |0> pre-selection")
     value = np.exp(-1j * state.phi) / np.tan(state.theta)
     return WeakValue(value, SOUTH_POLE)

@@ -572,6 +572,38 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_field_constructors_are_called_through_the_module(tmp_path,
+                                                          monkeypatch):
+    # the benchmark's tracer times field construction by replacing these
+    # module attributes, so the command line must look them up at call time
+    from vortexscope import probefield
+    calls = {}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    names = ("exact_field", "approx_field", "mixed_exact_field")
+    for name in names:
+        monkeypatch.setattr(probefield, name,
+                            counting(name, getattr(probefield, name)))
+    sensor = {"pixel_pitch_mm": 8.0 / 64, "width": 64, "height": 64}
+    pure = base_config(tmp_path, sensor=sensor)
+    for mode in ("exact", "approx"):
+        assert main(["simulate", "--config", pure, "--mode", mode,
+                     "--out", str(tmp_path / mode)]) == EXIT_OK
+    mixed = write_json(tmp_path / "tomo.json",
+                       json.loads(Path(pure).read_text())
+                       | {"states": {"kind": "bloch", "x": 0.5, "y": -0.3,
+                                     "z": 0.6},
+                          "postselections": [[0, 0, -1], [0, 0, 1],
+                                             [0, 1, 0], [0, -1, 0]]})
+    assert main(["tomo", "--config", mixed]) == EXIT_OK
+    assert set(calls) == set(names)
+
+
 class TestCentroidCheck:
     def test_small_grid_passes_and_reports_sign(self, tmp_path, capsys):
         grid = write_json(tmp_path / "grid.json", {

@@ -82,6 +82,17 @@ class TestBlochVector:
         with pytest.raises(ValueError):
             BlochVector(0.2, 0.0, 0.0).to_state()
 
+    def test_theta_keeps_its_digits_next_to_the_poles(self, rng):
+        # a vector d = 1e-7..1e-2 rad from a z pole has theta = d/2 or
+        # pi/2 - d/2; reading theta through arccos(z) loses half the digits
+        for d, phi in zip(10.0 ** rng.uniform(-7, -2, 500),
+                          rng.uniform(-np.pi, np.pi, 500)):
+            x, y = np.sin(d) * np.cos(phi), np.sin(d) * np.sin(phi)
+            north = BlochVector(x, y, np.cos(d)).to_state().theta
+            south = BlochVector(x, y, -np.cos(d)).to_state().theta
+            assert north == pytest.approx(d / 2, rel=1e-15)
+            assert abs(south - (np.pi / 2 - d / 2)) <= 4.5e-16  # two ulps
+
 
 class TestWavePlates:
     def test_quarter_at_45_gives_circular(self):

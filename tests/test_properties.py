@@ -18,10 +18,11 @@ from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, integer, read_image, real,
                                  reals, write_image)
 from vortexscope.polarization import BlochVector, QubitState
-from vortexscope.probefield import ProbeConfig, exact_field, mixed_exact_field
-from vortexscope.weakvalue import (rotate_to_south, stereographic_invert,
-                                   stereographic_project, weak_value_mixed,
-                                   weak_value_pure)
+from vortexscope.probefield import (ProbeConfig, ZeroFieldError, approx_field,
+                                    exact_field, mixed_exact_field)
+from vortexscope.weakvalue import (PoleStateError, pointer_amplitudes,
+                                   stereographic_invert, stereographic_project,
+                                   weak_value_mixed, weak_value_pure)
 
 angles = st.floats(0.0, 2 * np.pi)
 # the four axis-aligned post-selections are drawn as often as the rest
@@ -46,21 +47,29 @@ def test_stereographic_round_trip(angle, theta, phi):
 
 
 @given(frame_angles, thetas, angles)
-def test_mixed_weak_value_matches_rotated_pure(angle, theta, phi):
+def test_mixed_weak_value_matches_pointer_amplitudes(angle, theta, phi):
     postselection = postselection_at(angle)
     state = QubitState(theta, phi)
     assume(np.linalg.norm(state.bloch().as_array()
                           + postselection.as_array()) > 1e-2)
     mixed = weak_value_mixed(state.bloch(), postselection).value
-    pure = weak_value_pure(rotate_to_south(state, postselection)).value
-    # to_state reads theta through arccos, which loses half the digits
-    # next to the poles; a wrong rotation is off by order one
-    assert mixed == pytest.approx(pure, rel=1e-9, abs=1e-7)
+    _, _, w = pointer_amplitudes(state, postselection)
+    # 1 - r.p in weak_value_mixed cancels next to the pole; a wrong frame
+    # is off by order one
+    assert abs(w - mixed) <= 1e-11 * max(1.0, abs(w))
 
 
-def test_rotation_keeps_south_pole_states():
-    state = QubitState(0.7, 2.0)
-    assert rotate_to_south(state, postselection_at(0.0)) is state
+@given(thetas, angles)
+def test_pointer_amplitudes_at_south_pole_are_the_unrotated_terms(theta, phi):
+    state = QubitState(theta, phi)
+    c0, c1 = state.amplitudes()
+    (a_minus, a_plus), overlap, w = pointer_amplitudes(state,
+                                                      postselection_at(0.0))
+    assert (a_minus, a_plus, overlap) == (-(c0 - c1) / 2.0, (c0 + c1) / 2.0, c1)
+    if theta >= 1e-12:
+        assert w == pytest.approx(weak_value_pure(state).value, rel=1e-15)
+    else:
+        assert w is None
 
 
 @given(st.tuples(*[st.floats(-0.9, 0.9)] * 3), angles,
@@ -106,18 +115,35 @@ def test_mixed_intensity_is_affine_in_the_bloch_vector(r1, r2, angle):
         <= 1e-14 * max(a.max(), b.max())
 
 
-@given(vectors, frame_angles)
-def test_mixed_field_of_a_pure_state_is_its_exact_field(r, angle):
-    assume(np.linalg.norm(r) > 0.1)
-    r = r / np.linalg.norm(r)
+@given(angles, st.floats(-5.0, -3.0), angles, st.sampled_from([-1.0, 1.0]))
+def test_mixed_field_of_a_pure_state_is_its_exact_field(angle, log_distance,
+                                                         direction, side):
+    # a pure state 1e-5 to 1e-3 rad from +f or -f, where reading theta
+    # through arccos would lose half the digits
     postselection = postselection_at(angle)
-    assume(np.linalg.norm(r + postselection.as_array()) > 1e-3)
-    pure = exact_field(MIXED_PROBE, BlochVector(*r).to_state(), postselection)
+    f = postselection.as_array()
+    e_hat = np.array([0.0, np.cos(angle), np.sin(angle)])
+    d = 10.0 ** log_distance
+    r = (side * np.cos(d) * f
+         + np.sin(d) * (np.cos(direction) * np.array([1.0, 0.0, 0.0])
+                        + np.sin(direction) * e_hat))
+    state = BlochVector(*r).to_state()
+    pure = exact_field(MIXED_PROBE, state, postselection)
     expected = pure.intensity(MIXED_AXIS[None, :], MIXED_AXIS[:, None])
-    # to_state reads theta through arccos, which loses half the digits
-    # next to the z poles
-    assert np.max(np.abs(mixed_intensity(r, postselection) - expected)) \
-        <= 1e-8 * expected.max()
+    got = mixed_intensity(state.bloch().as_array(), postselection)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * expected.max()
+
+
+def test_state_at_the_tilted_pole_has_no_weak_value():
+    postselection = postselection_at(0.4)
+    p = -postselection.as_array()
+    state = BlochVector(*p).to_state()
+    assert pointer_amplitudes(state, postselection)[2] is None
+    assert exact_field(MIXED_PROBE, state, postselection).weak_value is None
+    with pytest.raises(ZeroFieldError):
+        exact_field(ProbeConfig(w0=1.0, g=0.0), state, postselection)
+    with pytest.raises(PoleStateError):
+        approx_field(MIXED_PROBE, state, postselection)
 
 
 @pytest.fixture(scope="module")
