@@ -61,8 +61,8 @@ class ZipEstimate:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Affine map from weak values to image positions: w = 0 lands at
-    `origin`, |w| = 1 is `scale` away, axes rotated by `orientation`."""
+    """Affine map z = origin + scale e^{i orientation} w from weak values
+    to image positions; `unapply` reads w back from a position."""
 
     origin: tuple = (0.0, 0.0)
     scale: float = 1.0
@@ -78,10 +78,6 @@ class Calibration:
         if origin.shape != (2,) or not np.isfinite(origin).all():
             raise ValueError("calibration origin must be two finite numbers")
         object.__setattr__(self, "origin", (float(origin[0]), float(origin[1])))
-
-    def apply(self, w: complex):
-        rot = complex(w) * np.exp(1j * self.orientation) * self.scale
-        return (self.origin[0] + rot.real, self.origin[1] + rot.imag)
 
     def unapply(self, position) -> complex:
         d = complex(position[0] - self.origin[0], position[1] - self.origin[1])

@@ -61,10 +61,6 @@ class SensorConfig:
         ys = oy + (np.arange(self.height) - (self.height - 1) / 2) * self.pixel_pitch
         return xs, ys
 
-    def coordinates(self):
-        """Physical pixel-center coordinate grids (X, Y), row-major."""
-        return np.meshgrid(*self.axes(), indexing="xy")
-
     def extent(self) -> float:
         return min(self.width, self.height) * self.pixel_pitch
 
@@ -144,9 +140,6 @@ class IntensityImage:
         view = self.stored * self.scale
         view.flags.writeable = False
         return view
-
-    def coordinates(self):
-        return self.sensor.coordinates()
 
     def max_intensity(self) -> float:
         return self._peak

@@ -10,7 +10,9 @@ values are no longer projection points.
 
 This module owns the post-selection frame: the orthogonality check, the
 plane spanned by x_hat and e_hat, and the pointer amplitudes of a pure state
-in that frame.  Other modules ask it for these rather than deriving them.
+in that frame, whose w is the one formula for a pure state's weak value
+(mixed input takes the Bloch form of weak_value_mixed).  Other modules ask
+it for these rather than deriving them.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ def _check_postselection(postselection: BlochVector) -> np.ndarray:
 
 
 def projection_frame(postselection: BlochVector):
-    """Projection pole p = -f and in-plane axis e_hat = p x x_hat."""
-    f = _check_postselection(postselection)
-    p = -f
-    e_hat = np.cross(p, X_AXIS)
-    return p, e_hat
+    """Projection pole p = -f and in-plane axis e_hat = p x x_hat, which
+    is (0, p_z, -p_y) for the unit x_hat."""
+    p = -_check_postselection(postselection)
+    return p, np.array([0.0, p[2], -p[1]])
 
 
 def projection_line(w: complex, postselection: BlochVector):
@@ -101,11 +102,12 @@ class WeakValue:
 
 
 def weak_value_pure(state: QubitState) -> WeakValue:
-    """Weak value e^{-i phi} cot(theta) for post-selection |1>."""
-    if state.theta < _POLE_TOL:
+    """Weak value for the |1> post-selection: the w of `pointer_amplitudes`
+    at SOUTH_POLE, c0/c1 for the state's amplitudes (c0, c1)."""
+    w = pointer_amplitudes(state, SOUTH_POLE)[2]
+    if w is None:
         raise PoleStateError("weak value diverges for the |0> pre-selection")
-    value = np.exp(-1j * state.phi) / np.tan(state.theta)
-    return WeakValue(value, SOUTH_POLE)
+    return WeakValue(w, SOUTH_POLE)
 
 
 def weak_value_mixed(rho: BlochVector, postselection: BlochVector) -> WeakValue:
@@ -126,23 +128,21 @@ def weak_value_mixed(rho: BlochVector, postselection: BlochVector) -> WeakValue:
 
 
 def stereographic_project(state, postselection: BlochVector = SOUTH_POLE) -> complex:
-    """Stereographic image of a state; bit-identical to its sigma_x weak
-    value (weak_value_pure for pure input with the |1> post-selection,
-    weak_value_mixed otherwise)."""
-    if isinstance(state, QubitState) and postselection == SOUTH_POLE:
-        try:
-            return weak_value_pure(state).value
-        except PoleStateError:
-            raise PointAtInfinityError(
-                "state at the projection pole maps to infinity; "
-                "switch to another post-selection plane") from None
-    rho = state.bloch() if isinstance(state, QubitState) else state
-    p, _ = projection_frame(postselection)
-    if np.linalg.norm(rho.as_array() - p) < _ORTHO_TOL:
+    """Stereographic image of a state from the pole -f: its sigma_x weak
+    value, the w of `pointer_amplitudes` for a pure state and of
+    `weak_value_mixed` for a Bloch vector.  The pole itself has no image."""
+    if isinstance(state, QubitState):
+        w = pointer_amplitudes(state, postselection)[2]
+    elif np.linalg.norm(state.as_array()
+                        - projection_frame(postselection)[0]) < _ORTHO_TOL:
+        w = None
+    else:
+        w = weak_value_mixed(state, postselection).value
+    if w is None:
         raise PointAtInfinityError(
             "state at the projection pole maps to infinity; "
             "switch to another post-selection plane")
-    return weak_value_mixed(rho, postselection).value
+    return w
 
 
 def stereographic_invert(point: complex, postselection: BlochVector = SOUTH_POLE) -> BlochVector:

@@ -2,6 +2,8 @@ import csv
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +15,8 @@ from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
 from vortexscope.estimation import Calibration
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  read_image, write_image)
-from vortexscope.polarization import QubitState
+from vortexscope.polarization import QubitState, infinity_path
+from vortexscope.probefield import ProbeConfig, exact_field
 
 
 def write_json(path, payload):
@@ -124,6 +127,23 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == EXIT_OK
         assert "margin" in capsys.readouterr().err
+
+    def test_margin_at_the_threshold_by_rounding_does_not_warn(self, tmp_path,
+                                                               capsys):
+        # figure-eight state 18 of 24 is |H>, whose |w| rounds to 1 + 2^-52:
+        # margin 9.999999999999998 at g/w0 = 0.1
+        state = infinity_path(24)[18]
+        probe = ProbeConfig(w0=1.0, g=0.1)
+        assert abs(exact_field(probe, state).weak_value) > 1.0
+        sensor = {"pixel_pitch_mm": 8.0 / 64, "width": 64, "height": 64}
+        for g, warns in ((0.1, False), (1.0 / 9.9, True)):
+            cfg = base_config(tmp_path, sensor=sensor,
+                              probe={"w0_mm": 1.0, "g_mm": g, "l": 1},
+                              states={"kind": "explicit",
+                                      "theta": state.theta, "phi": state.phi})
+            assert main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "o")]) == EXIT_OK
+            assert ("margin" in capsys.readouterr().err) == warns
 
     def test_mixed_source_rejected(self, tmp_path):
         cfg = base_config(tmp_path,
@@ -602,6 +622,46 @@ def test_field_constructors_are_called_through_the_module(tmp_path,
                                              [0, 1, 0], [0, -1, 0]]})
     assert main(["tomo", "--config", mixed]) == EXIT_OK
     assert set(calls) == set(names)
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+from vortexscope.cli import main
+pure, cal, mixed, out = sys.argv[1:]
+codes = [main(["simulate", "--config", pure, "--out", out]),
+         main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
+               "--threshold-fraction", "0.1", "--out", out + "/estimates.csv",
+               out + "/img_0000_0.pgm"]),
+         main(["tomo", "--config", mixed])]
+print(json.dumps({"codes": codes, "sparse": "scipy.sparse" in sys.modules}))
+"""
+
+
+def test_pipeline_leaks_no_resource_and_leaves_scipy_sparse_unloaded(tmp_path):
+    # scipy.sparse.csgraph alone adds about 11 MiB of peak memory, and
+    # scipy.optimize imports scipy.sparse: a fit imports inside its function
+    sensor = {"pixel_pitch_mm": 8.0 / 128, "width": 128, "height": 128}
+    pure = base_config(tmp_path, sensor=sensor,
+                       states={"kind": "explicit", "theta": 1.1, "phi": 2.4},
+                       noise={"photon_budget": 1e6, "seed": 3})
+    mixed = write_json(tmp_path / "tomo.json",
+                       json.loads(Path(pure).read_text())
+                       | {"states": {"kind": "bloch", "x": 0.5, "y": -0.3,
+                                     "z": 0.6},
+                          "postselections": [[0, 0, -1], [0, 0, 1],
+                                             [0, 1, 0], [0, -1, 0]]})
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         FOOTPRINT_SCRIPT, pure, write_calibration(tmp_path, g=0.05), mixed,
+         str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [EXIT_OK] * 3, "sparse": False}
 
 
 class TestCentroidCheck:

@@ -38,7 +38,7 @@ class TestSensorConfig:
 
     def test_coordinates_are_centered(self):
         sensor = fast_sensor(W0, pixels=64)
-        xg, yg = sensor.coordinates()
+        xg, yg = np.meshgrid(*sensor.axes())
         assert xg.mean() == pytest.approx(0.0, abs=1e-15)
         assert yg.mean() == pytest.approx(0.0, abs=1e-15)
         assert xg[0, 1] - xg[0, 0] == pytest.approx(sensor.pixel_pitch)
@@ -53,7 +53,7 @@ class TestRender:
         sensor = fast_sensor(W0, pixels=256)
         img = render(lg_field(PROBE), sensor)
         i, j = np.unravel_index(np.argmax(img.pixels), img.pixels.shape)
-        xg, yg = img.coordinates()
+        xg, yg = np.meshgrid(*sensor.axes())
         radius = np.hypot(xg[i, j], yg[i, j])
         assert abs(radius - np.sqrt(2) * W0) <= sensor.pixel_pitch
 
@@ -96,7 +96,7 @@ class TestRender:
     def test_open_grid_matches_pointwise(self, make):
         field = make()
         sensor = fast_sensor(W0, pixels=128)
-        pointwise = field.intensity(*sensor.coordinates())
+        pointwise = field.intensity(*np.meshgrid(*sensor.axes()))
         rendered = render(field, sensor).pixels
         assert np.max(np.abs(rendered - pointwise)) <= 1e-14 * pointwise.max()
 

@@ -20,7 +20,8 @@ from vortexscope.imaging import (ImageFormatError, IntensityImage,
 from vortexscope.polarization import BlochVector, QubitState
 from vortexscope.probefield import (ProbeConfig, ZeroFieldError, approx_field,
                                     exact_field, mixed_exact_field)
-from vortexscope.weakvalue import (PoleStateError, pointer_amplitudes,
+from vortexscope.weakvalue import (PointAtInfinityError, PoleStateError,
+                                   pointer_amplitudes, projection_frame,
                                    stereographic_invert, stereographic_project,
                                    weak_value_mixed, weak_value_pure)
 
@@ -67,9 +68,33 @@ def test_pointer_amplitudes_at_south_pole_are_the_unrotated_terms(theta, phi):
                                                       postselection_at(0.0))
     assert (a_minus, a_plus, overlap) == (-(c0 - c1) / 2.0, (c0 + c1) / 2.0, c1)
     if theta >= 1e-12:
-        assert w == pytest.approx(weak_value_pure(state).value, rel=1e-15)
+        assert w == weak_value_pure(state).value
     else:
         assert w is None
+
+
+@given(frame_angles, thetas, angles)
+@example(0.0, 0.0, 0.0)
+@example(np.pi / 2, np.pi / 4, 1.5 * np.pi)  # the pole of f = (0, 1, 0)
+def test_stereographic_project_is_the_pointer_weak_value(angle, theta, phi):
+    postselection = postselection_at(angle)
+    state = QubitState(theta, phi)
+    w = pointer_amplitudes(state, postselection)[2]
+    if w is None:
+        with pytest.raises(PointAtInfinityError):
+            stereographic_project(state, postselection)
+    else:
+        projected = stereographic_project(state, postselection)
+        assert np.complex128(projected).tobytes() == np.complex128(w).tobytes()
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 2, np.pi, 1.5 * np.pi, 0.4])
+def test_projection_frame_axis_is_the_cross_product(angle):
+    postselection = postselection_at(angle)
+    _, e_hat = projection_frame(postselection)
+    # array_equal holds 0.0 == -0.0: the sign of zero may differ
+    assert np.array_equal(e_hat, np.cross(-postselection.as_array(),
+                                          [1.0, 0.0, 0.0]))
 
 
 @given(st.tuples(*[st.floats(-0.9, 0.9)] * 3), angles,
@@ -85,7 +110,8 @@ def test_reconstruct_mixed_recovers_exactly(r, offset, origin, scale,
     for k in range(4):
         postselection = postselection_at(offset + k * np.pi / 2)
         w = weak_value_mixed(rho, postselection).value
-        observations.append((ZipEstimate(calibration.apply(w), 1, 0.0),
+        z = complex(*origin) + scale * np.exp(1j * orientation) * w
+        observations.append((ZipEstimate((z.real, z.imag), 1, 0.0),
                              calibration, postselection))
     result = reconstruct_mixed(observations)
     assert np.max(np.abs(result.bloch.as_array() - rho.as_array())) < 1e-9
