@@ -190,16 +190,18 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
 # State estimation and calibration
 # ---------------------------------------------------------------------------
 
+# estimate_state refuses larger |w|: near the pole small image errors explode
+MAX_WEAK_VALUE = 50.0
+
+
 def estimate_state(zip_estimate: ZipEstimate, calibration: Calibration,
-                   postselection: BlochVector = SOUTH_POLE,
-                   max_weak_value: float = 50.0) -> QubitState:
+                   postselection: BlochVector = SOUTH_POLE) -> QubitState:
     """Map a ZIP through the calibration to a weak value and invert the
-    projection.  Estimates beyond `max_weak_value` are refused: near the
-    pole the projection stretches and small image errors explode."""
+    projection.  Estimates beyond MAX_WEAK_VALUE are refused."""
     w = calibration.unapply(zip_estimate.position)
-    if abs(w) > max_weak_value:
+    if abs(w) > MAX_WEAK_VALUE:
         raise NearPoleError(
-            f"|w| = {abs(w):.1f} exceeds the cap {max_weak_value}; "
+            f"|w| = {abs(w):.1f} exceeds the cap {MAX_WEAK_VALUE}; "
             "the estimate is ill-conditioned this close to the pole")
     return stereographic_invert(w, postselection).to_state()
 
@@ -248,7 +250,11 @@ def _reconstruction_line(w: complex, postselection: BlochVector):
     return pole, direction / np.linalg.norm(direction)
 
 
-def reconstruct_mixed(observations, condition_limit: float = 1e8) -> ReconstructionResult:
+# reconstruct_mixed refuses normal matrices of larger condition number
+CONDITION_LIMIT = 1e8
+
+
+def reconstruct_mixed(observations) -> ReconstructionResult:
     """Least-squares crossing point of the projection lines of several
     post-selections.
 
@@ -272,7 +278,7 @@ def reconstruct_mixed(observations, condition_limit: float = 1e8) -> Reconstruct
         normal += proj
         rhs += proj @ pole
     cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > condition_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         overlaps = [(abs(float(dirs[i] @ dirs[j])), i, j)
                     for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
         _, i, j = max(overlaps)

@@ -1,6 +1,5 @@
 """Finite-pixel rendering of analytic fields, photon shot noise, and image
-file I/O (16-bit binary portable graymap with a JSON provenance comment, or
-exact CSV with a JSON sidecar).
+file I/O (16-bit binary portable graymap with a JSON provenance comment).
 
 Pixel values are point samples of the intensity at pixel centers; at CCD
 pitches far below the beam width the in-pixel variation is negligible, and
@@ -342,7 +341,7 @@ _PGM_MAXVAL = 65535
 _QUANTIZE_ROWS = 64
 
 
-def _header_dict(img: IntensityImage, scale: float = 1.0) -> dict:
+def _header_dict(img: IntensityImage, scale: float) -> dict:
     ox, oy = img.sensor.center_offset
     return {
         "pixel_pitch_mm": img.sensor.pixel_pitch,
@@ -371,60 +370,52 @@ def _parse_header(header: dict, path):
         raise ImageFormatError(f"{path}: header: {bad}") from None
 
 
-def _resolve_format(path) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix in (".pgm", ".pnm"):
-        return "pgm"
-    if suffix == ".csv":
-        return "csv"
-    raise ValueError(f"cannot infer image format from {path}")
+def _graymap_path(path) -> Path:
+    path = Path(path)
+    if path.suffix.lower() not in (".pgm", ".pnm"):
+        raise ValueError(f"{path}: image files are .pgm or .pnm graymaps")
+    return path
 
 
 def write_image(img: IntensityImage, path) -> None:
-    """Write a 16-bit binary graymap (scaled to peak) or an exact CSV, as
-    the suffix says.
+    """Write a 16-bit binary graymap, scaled to the frame's peak, with the
+    sensor geometry, intensity scale and provenance in a JSON comment.
 
-    A graymap overwrites an existing file in place and cuts it at the end of
-    the payload; until the payload is written its magic reads P0, which
+    An existing file is overwritten in place and cut at the end of the
+    payload; until the payload is written its magic reads P0, which
     read_image rejects, so an interrupted write never passes for an image.
     The write holds an exclusive flock, so a reader never sees it half done.
     """
-    path = Path(path)
-    if _resolve_format(path) == "pgm":
-        peak = img.max_intensity()
-        scale = peak / _PGM_MAXVAL if peak > 0 else 1.0
-        header = _header_dict(img, scale=scale)
-        quantized = np.empty(img.pixels.shape, dtype=">u2")
-        block = np.empty((_QUANTIZE_ROWS, img.sensor.width))
-        for start in range(0, img.sensor.height, _QUANTIZE_ROWS):
-            rows = img.pixels[start:start + _QUANTIZE_ROWS]
-            part = block[:len(rows)]
-            np.divide(rows, scale, out=part)
-            np.rint(part, out=part)
-            quantized[start:start + len(rows)] = part
-        # no O_TRUNC: freeing and reallocating an existing frame's blocks
-        # costs several times the write itself
-        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
-        fcntl.flock(fd, fcntl.LOCK_EX)  # released on close
-        with os.fdopen(fd, "r+b") as fh:
-            fh.write(b"P0\n")
-            fh.write(b"# " + json.dumps(header).encode() + b"\n")
-            fh.write(f"{img.sensor.width} {img.sensor.height}\n".encode())
-            fh.write(f"{_PGM_MAXVAL}\n".encode())
-            fh.write(quantized)
-            fh.truncate()
-            fh.seek(0)
-            fh.write(b"P5")
-    else:
-        header = _header_dict(img)
-        with open(path, "w") as fh:
-            for row in img.pixels:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-            json.dump(header, fh, indent=2)
+    path = _graymap_path(path)
+    peak = img.max_intensity()
+    scale = peak / _PGM_MAXVAL if peak > 0 else 1.0
+    header = _header_dict(img, scale)
+    quantized = np.empty(img.pixels.shape, dtype=">u2")
+    block = np.empty((_QUANTIZE_ROWS, img.sensor.width))
+    for start in range(0, img.sensor.height, _QUANTIZE_ROWS):
+        rows = img.pixels[start:start + _QUANTIZE_ROWS]
+        part = block[:len(rows)]
+        np.divide(rows, scale, out=part)
+        np.rint(part, out=part)
+        quantized[start:start + len(rows)] = part
+    # no O_TRUNC: freeing and reallocating an existing frame's blocks
+    # costs several times the write itself
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    fcntl.flock(fd, fcntl.LOCK_EX)  # released on close
+    with os.fdopen(fd, "r+b") as fh:
+        fh.write(b"P0\n")
+        fh.write(b"# " + json.dumps(header).encode() + b"\n")
+        fh.write(f"{img.sensor.width} {img.sensor.height}\n".encode())
+        fh.write(f"{_PGM_MAXVAL}\n".encode())
+        fh.write(quantized)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(b"P5")
 
 
-def _read_pgm(path) -> IntensityImage:
+def read_image(path) -> IntensityImage:
+    """Read a graymap written by write_image; its counts stay uint16."""
+    path = _graymap_path(path)
     with open(path, "rb") as fh:
         # a shared flock keeps write_image out until the payload is read
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
@@ -481,49 +472,3 @@ def _read_pgm(path) -> IntensityImage:
     np.copyto(counts, counts.view(">u2"))
     return IntensityImage(counts.reshape(height, width), sensor, provenance,
                           scale)
-
-
-def _read_csv(path) -> IntensityImage:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as bad:
-                raise ImageFormatError(f"{path}:{lineno}: {bad}") from None
-    if not rows:
-        raise ImageFormatError(f"{path}: empty image")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ImageFormatError(f"{path}: ragged rows with widths {sorted(widths)}")
-    pixels = np.array(rows, dtype=float)
-    sidecar = Path(str(path) + ".json")
-    if not sidecar.exists():
-        raise ImageFormatError(f"{path}: missing JSON sidecar {sidecar}")
-    with open(sidecar) as fh:
-        try:
-            header = json.load(fh)
-        except ValueError:
-            header = None
-    if not isinstance(header, dict):
-        raise ImageFormatError(f"{sidecar}: not a JSON object")
-    sensor, _, provenance = _parse_header(header, sidecar)
-    if (sensor.height, sensor.width) != pixels.shape:
-        raise ImageFormatError(
-            f"{path}: header geometry {sensor.height}x{sensor.width} "
-            f"does not match payload {pixels.shape}")
-    try:
-        return IntensityImage(pixels, sensor, provenance)
-    except ValueError as bad:
-        raise ImageFormatError(f"{path}: {bad}") from None
-
-
-def read_image(path) -> IntensityImage:
-    """Read a graymap or a CSV image, as the suffix says."""
-    path = Path(path)
-    if _resolve_format(path) == "pgm":
-        return _read_pgm(path)
-    return _read_csv(path)

@@ -14,7 +14,7 @@ from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
                              build_parser, main)
 from vortexscope.estimation import Calibration
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
-                                 read_image, write_image)
+                                 read_image)
 from vortexscope.polarization import QubitState, infinity_path
 from vortexscope.probefield import ProbeConfig, exact_field
 
@@ -318,21 +318,6 @@ class TestEstimate:
         (row,) = csv.DictReader(csv_lines(out_csv))
         assert row["error"] == f"error: {path}: {message}"
 
-    def test_nonfinite_csv_cell_is_error_row_naming_the_file(self, tmp_path):
-        frame = self.simulate_sweep(tmp_path, steps=2)[0]
-        path = tmp_path / "bad.csv"
-        write_image(read_image(frame), path)
-        rows = path.read_text().splitlines()
-        rows[3] = "nan" + rows[3][rows[3].index(","):]
-        path.write_text("\n".join(rows) + "\n")
-        out_csv = tmp_path / "est.csv"
-        assert main(["estimate", "--cal", write_calibration(tmp_path),
-                     "--postselect", "0,0,-1", "--out", str(out_csv),
-                     str(path)]) == EXIT_ESTIMATION
-        (row,) = csv.DictReader(csv_lines(out_csv))
-        assert row["error"].startswith(f"error: {path}: pixel intensities "
-                                       "must be finite")
-
     def test_pgm_shrinking_after_size_check_is_error_row(self, tmp_path,
                                                           monkeypatch):
         out = tmp_path / "sim"
@@ -356,17 +341,44 @@ class TestEstimate:
         assert row["error"] == f"error: {path}: {message}"
 
     def test_error_with_comma_stays_in_its_column(self, tmp_path):
-        ragged = tmp_path / "ragged.csv"
-        ragged.write_text("1.0,2.0\n1.0,2.0,3.0\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", base_config(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        path = out / "img_0000_0.pgm"
+        magic, comment, rest = path.read_bytes().split(b"\n", 2)
+        header = json.loads(comment[1:])
+        header["origin_offset_mm"] = ["a", "b"]
+        comment = b"# " + json.dumps(header).encode()
+        path.write_bytes(b"\n".join([magic, comment, rest]))
         out_csv = tmp_path / "est.csv"
         assert main(["estimate", "--cal", write_calibration(tmp_path),
                      "--postselect", "0,0,-1", "--out", str(out_csv),
-                     str(ragged)]) == EXIT_ESTIMATION
+                     str(path)]) == EXIT_ESTIMATION
         reader = csv.DictReader(csv_lines(out_csv))
         (row,) = list(reader)
         assert len(reader.fieldnames) == 12 and None not in row
-        assert row["error"] == (f"error: {ragged}: ragged rows with "
-                                "widths [2, 3]")
+        assert row["error"] == (f"error: {path}: header: 'origin_offset_mm' "
+                                "must be a non-empty list of finite numbers "
+                                "(got ['a', 'b'])")
+
+    def test_csv_image_is_error_row_naming_the_file(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", base_config(tmp_path),
+                     "--out", str(out)]) == EXIT_OK
+        frame = out / "img_0000_0.pgm"
+        # a well-formed frame in the CSV-with-JSON-sidecar layout, which is
+        # not an image format
+        path = tmp_path / "frame.csv"
+        np.savetxt(path, read_image(frame).pixels, delimiter=",")
+        comment = frame.read_bytes().split(b"\n", 2)[1]
+        (tmp_path / "frame.csv.json").write_bytes(comment[1:])
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out_csv),
+                     str(path)]) == EXIT_ESTIMATION
+        (row,) = csv.DictReader(csv_lines(out_csv))
+        assert row["error"] == (f"error: {path}: image files are .pgm or "
+                                ".pnm graymaps")
 
     @pytest.mark.parametrize("calibration", [
         {"origin_mm": [0.0, 0.0], "scale_mm": float("nan")},
@@ -662,6 +674,57 @@ def test_pipeline_leaks_no_resource_and_leaves_scipy_sparse_unloaded(tmp_path):
     assert "ResourceWarning" not in done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == {"codes": [EXIT_OK] * 3, "sparse": False}
+
+
+TRACED_LAYERS = ("imaging.render", "imaging.add_shot_noise",
+                 "imaging.write_image", "imaging.read_image",
+                 "estimation.extract_zip", "estimation.estimate_state",
+                 "estimation.reconstruct_mixed", "probefield.construct",
+                 "probefield.field_eval")
+
+
+def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
+    # perfbench/tracing.py replaces module attributes by name and binds
+    # their parameters (path, img, threshold_fraction) by name; a renamed
+    # or deleted one would break only the traced benchmark runs
+    import vortexscope
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracing
+    modules = [vortexscope.imaging, vortexscope.estimation,
+               vortexscope.probefield, vortexscope.weakvalue,
+               vortexscope.polarization]
+    originals = [(module, name, value) for module in modules
+                 for name, value in vars(module).items() if callable(value)]
+    sensor = {"pixel_pitch_mm": 8.0 / 128, "width": 128, "height": 128}
+    pure = base_config(tmp_path, sensor=sensor,
+                       states={"kind": "equator", "steps": 2},
+                       noise={"photon_budget": 1e6, "seed": 3})
+    mixed = write_json(tmp_path / "tomo.json",
+                       json.loads(Path(pure).read_text())
+                       | {"states": {"kind": "bloch", "x": 0.5, "y": -0.3,
+                                     "z": 0.6},
+                          "postselections": [[0, 0, -1], [0, 0, 1],
+                                             [0, 1, 0], [0, -1, 0]]})
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.readout = 0
+    restore = tracing.install(tracer, vortexscope)
+    try:
+        codes = [main(["simulate", "--config", pure, "--out", str(out)]),
+                 main(["estimate", "--cal", write_calibration(tmp_path),
+                       "--postselect", "0,0,-1", "--threshold-fraction",
+                       "0.1", "--out", str(out / "estimates.csv"),
+                       *sorted(map(str, out.glob("img_*.pgm")))]),
+                 main(["tomo", "--config", mixed])]
+    finally:
+        restore()
+    assert codes == [EXIT_OK] * 3
+    clean = {span["name"] for span in tracer.spans if "error" not in span}
+    assert set(TRACED_LAYERS) <= clean
+    assert tracing.layer_metrics(tracer, 1)
+    assert all(getattr(module, name) is value
+               for module, name, value in originals)
 
 
 class TestCentroidCheck:

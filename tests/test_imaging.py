@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -266,14 +267,6 @@ class TestImageIO:
                           fast_sensor(W0, pixels=64))
         self.img.provenance["state"] = {"theta": np.pi / 4, "phi": 0.0}
 
-    def test_csv_roundtrip_exact(self, tmp_path):
-        path = tmp_path / "img.csv"
-        write_image(self.img, path)
-        back = read_image(path)
-        assert np.array_equal(back.pixels, self.img.pixels)
-        assert back.sensor == self.img.sensor
-        assert back.provenance["state"]["theta"] == pytest.approx(np.pi / 4)
-
     def test_pgm_roundtrip_quantization_bound(self, tmp_path):
         path = tmp_path / "img.pgm"
         write_image(self.img, path)
@@ -387,43 +380,6 @@ class TestImageIO:
         back = read_image(tmp_path / "zero.pgm")
         assert np.array_equal(back.pixels, zero.pixels)
 
-    def test_negative_intensity_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        write_image(self.img, path)
-        rows = path.read_text().splitlines()
-        rows[3] = "-1.0" + rows[3][rows[3].index(","):]
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ImageFormatError, match="negative"):
-            read_image(path)
-
-    def test_nan_cell_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        write_image(self.img, path)
-        rows = path.read_text().splitlines()
-        rows[3] = "nan" + rows[3][rows[3].index(","):]
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ImageFormatError, match="NaN"):
-            read_image(path)
-
-    def test_malformed_csv_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        write_image(self.img, path)
-        rows = path.read_text().splitlines()
-        rows[5] = rows[5] + ",not-a-number"
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ImageFormatError, match=":6"):
-            read_image(path)
-
-    def test_geometry_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "img.csv"
-        write_image(self.img, path)
-        sidecar = tmp_path / "img.csv.json"
-        header = json.loads(sidecar.read_text())
-        header["width"] = 32
-        sidecar.write_text(json.dumps(header))
-        with pytest.raises(ImageFormatError, match="geometry"):
-            read_image(path)
-
     def test_pgm_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"
         write_image(self.img, path)
@@ -435,9 +391,16 @@ class TestImageIO:
         with pytest.raises(ImageFormatError):
             read_image(path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_image(self.img, tmp_path / "img.tiff")
+    @pytest.mark.parametrize("name", ["img.tiff", "img.csv"])
+    def test_unknown_format(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_image(self.img, path)
+        assert not path.exists()
+        assert not (tmp_path / (name + ".json")).exists()
+        # refused before the file is opened: no FileNotFoundError
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_image(path)
 
     def test_pgm_read_keeps_counts_and_scales_them_on_demand(self, tmp_path):
         path = tmp_path / "noisy.pgm"
@@ -453,14 +416,6 @@ class TestImageIO:
         assert not back.stored.flags.writeable
         assert not back.pixels.flags.writeable
         assert back.max_intensity() == back.pixels.max()
-
-    def test_noisy_csv_roundtrip(self, tmp_path):
-        noisy = add_shot_noise(self.img, 1e4, seed=9)
-        path = tmp_path / "noisy.csv"
-        write_image(noisy, path)
-        back = read_image(path)
-        assert np.array_equal(back.pixels, noisy.pixels)
-        assert back.provenance["noise"]["seed"] == 9
 
 
 def test_image_shape_must_match_sensor():
