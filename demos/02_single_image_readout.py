@@ -19,7 +19,7 @@ truth = QubitState(theta=1.1, phi=5.4)
 w = weak_value_pure(truth)
 print(f"prepared state:     theta={truth.theta:.4f}  phi={truth.phi:.4f}")
 print(f"weak value:         {w.value:.4f}")
-print(f"weak-margin:        {weak_condition_margin(w, probe):.1f} "
+print(f"weak-margin:        {weak_condition_margin(w.value, probe):.1f} "
       "(>> 1, displaced-vortex picture valid)")
 print(f"expected dark spot: ({probe.g * w.value.real:+.5f}, "
       f"{probe.g * w.value.imag:+.5f}) mm")

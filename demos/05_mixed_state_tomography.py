@@ -36,7 +36,7 @@ for plane in planes:
 ideal = reconstruct_mixed(observations)
 err = np.linalg.norm(ideal.bloch.as_array() - rho.as_array())
 print(f"\nline intersection with exact weak values: error {err:.2e}, "
-      f"residual {ideal.residual:.2e} mm")
+      f"residual {ideal.residual:.2e}")
 
 # full pipeline: render each post-selected mixture image, find its minimum
 sensor = fast_sensor(probe.w0, pixels=512)
@@ -48,7 +48,7 @@ result = reconstruct_mixed(observations)
 recovered = result.bloch
 err = np.linalg.norm(recovered.as_array() - rho.as_array())
 print(f"through rendered images:                  error {err:.2e}, "
-      f"residual {result.residual:.2e} mm")
+      f"residual {result.residual:.2e}")
 print(f"recovered: ({recovered.x:+.4f}, {recovered.y:+.4f}, {recovered.z:+.4f})")
 print(f"Uhlmann fidelity with the true mixture: {fidelity(rho, recovered):.6f}")
 print("\nNote: a mixture fills the vortex core, so the images have an")

@@ -8,8 +8,7 @@ from .polarization import (BlochVector, JonesOperator, QubitState,
                            apply_jones, apply_waveplate, equator_path,
                            fidelity, half_wave_plate, infinity_path,
                            quarter_wave_plate, wave_plate)
-from .weakvalue import (SOUTH_POLE, PointAtInfinityError, PoleStateError,
-                        WeakValue, ZeroPostselectionError,
+from .weakvalue import (SOUTH_POLE, PoleStateError, WeakValue,
                         stereographic_invert, stereographic_project,
                         weak_condition_margin, weak_value_mixed,
                         weak_value_pure)
@@ -18,7 +17,7 @@ from .probefield import (CENTROID_IM_SIGN, ComplexField, MixedField,
                          analytic_centroid, approx_field,
                          approx_postselected_field, centroid_by_quadrature,
                          exact_field, exact_field_norm,
-                         exact_postselected_field, lg_amplitude, lg_field,
+                         exact_postselected_field, lg_field,
                          mixed_exact_field, overlap_factor, quadrature_norm)
 from .imaging import (ImageFormatError, IntensityImage, SensorConfig,
                       add_shot_noise, fast_sensor, experiment_ccd, read_image,

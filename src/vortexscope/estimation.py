@@ -95,6 +95,8 @@ class Calibration:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """`residual` is a distance in the Bloch ball: it has no length unit."""
+
     bloch: BlochVector
     residual: float
     images_used: int
@@ -261,7 +263,7 @@ def reconstruct_mixed(observations) -> ReconstructionResult:
     Each observation is (ZipEstimate, Calibration, postselection).  The
     Bloch vector of the measured state lies on every line through the pole
     -f and that plane's projection point, so the closest point to all lines
-    recovers it; the RMS point-to-line distance is reported as the residual.
+    recovers it; their RMS distance from it, unitless, is the residual.
     """
     if len(observations) < 2:
         raise ValueError("need at least two observations")

@@ -85,9 +85,6 @@ class BlochVector:
     def norm(self) -> float:
         return float(np.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2))
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
     def to_state(self, tol: float = 1e-6) -> QubitState:
         """Convert a unit vector back to (theta, phi); errors if mixed."""
         if abs(self.norm() - 1.0) > tol:

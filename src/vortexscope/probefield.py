@@ -187,12 +187,8 @@ class MixedField:
 
 
 def lg_field(cfg: ProbeConfig) -> ComplexField:
+    """Undisplaced vortex N_l (x+iy)^l exp(-(x^2+y^2)/4 w0^2)."""
     return ComplexField(((1.0, 0.0),), cfg, "lg", weak_value=0.0)
-
-
-def lg_amplitude(cfg: ProbeConfig, x, y):
-    """Normalized vortex amplitude N_l (x+iy)^l exp(-(x^2+y^2)/4 w0^2)."""
-    return lg_field(cfg).amplitude(x, y)
 
 
 def _exact_shifts(cfg: ProbeConfig):

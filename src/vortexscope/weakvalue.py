@@ -13,6 +13,10 @@ plane spanned by x_hat and e_hat, and the pointer amplitudes of a pure state
 in that frame, whose w is the one formula for a pure state's weak value
 (mixed input takes the Bloch form of weak_value_mixed).  Other modules ask
 it for these rather than deriving them.
+
+The pole p = -f has no image: every weak value here raises PoleStateError
+there, tested once per state form (|<f|psi>| for a pure state, 1 - r.p for
+a Bloch vector).
 """
 
 from __future__ import annotations
@@ -31,15 +35,8 @@ _POLE_TOL = 1e-12  # |<f|psi>| (theta at |1>) below which w diverges
 
 
 class PoleStateError(ValueError):
-    """The pre-selected state sits at the projection pole (weak value diverges)."""
-
-
-class PointAtInfinityError(ValueError):
-    """The projected state is the pole itself; choose another post-selection plane."""
-
-
-class ZeroPostselectionError(ValueError):
-    """Orthogonal post-selection: the success probability vanishes."""
+    """The state sits at the projection pole -f: the post-selection never
+    succeeds, and the weak value diverges."""
 
 
 def _check_postselection(postselection: BlochVector) -> np.ndarray:
@@ -91,23 +88,16 @@ def pointer_amplitudes(state: QubitState, postselection: BlochVector = SOUTH_POL
 
 @dataclass(frozen=True)
 class WeakValue:
-    """Complex weak value of sigma_x with its post-selection context."""
+    """Complex weak value of sigma_x.  The function that returns one has
+    checked its post-selection and refused the pole."""
 
     value: complex
-    postselection: BlochVector = SOUTH_POLE
-
-    def __post_init__(self):
-        _check_postselection(self.postselection)
-        object.__setattr__(self, "value", complex(self.value))
 
 
 def weak_value_pure(state: QubitState) -> WeakValue:
     """Weak value for the |1> post-selection: the w of `pointer_amplitudes`
     at SOUTH_POLE, c0/c1 for the state's amplitudes (c0, c1)."""
-    w = pointer_amplitudes(state, SOUTH_POLE)[2]
-    if w is None:
-        raise PoleStateError("weak value diverges for the |0> pre-selection")
-    return WeakValue(w, SOUTH_POLE)
+    return WeakValue(stereographic_project(state))
 
 
 def weak_value_mixed(rho: BlochVector, postselection: BlochVector) -> WeakValue:
@@ -120,28 +110,25 @@ def weak_value_mixed(rho: BlochVector, postselection: BlochVector) -> WeakValue:
     p, e_hat = projection_frame(postselection)
     r = rho.as_array()
     denom = 1.0 - float(r @ p)
-    if denom <= 2e-12:  # success probability is denom / 2
-        raise ZeroPostselectionError(
+    # success probability is denom / 2; this bound is wider than _POLE_TOL
+    # because 1 - r.p cancels the digits that the amplitude form keeps
+    if denom <= 2e-12:
+        raise PoleStateError(
             "post-selection probability vanishes for this state")
-    value = (float(r @ X_AXIS) - 1j * float(r @ e_hat)) / denom
-    return WeakValue(value, postselection)
+    return WeakValue((float(r @ X_AXIS) - 1j * float(r @ e_hat)) / denom)
 
 
 def stereographic_project(state, postselection: BlochVector = SOUTH_POLE) -> complex:
     """Stereographic image of a state from the pole -f: its sigma_x weak
     value, the w of `pointer_amplitudes` for a pure state and of
-    `weak_value_mixed` for a Bloch vector.  The pole itself has no image."""
-    if isinstance(state, QubitState):
-        w = pointer_amplitudes(state, postselection)[2]
-    elif np.linalg.norm(state.as_array()
-                        - projection_frame(postselection)[0]) < _ORTHO_TOL:
-        w = None
-    else:
-        w = weak_value_mixed(state, postselection).value
+    `weak_value_mixed` for a Bloch vector.  The pole itself has no image
+    and raises PoleStateError."""
+    if not isinstance(state, QubitState):
+        return weak_value_mixed(state, postselection).value
+    w = pointer_amplitudes(state, postselection)[2]
     if w is None:
-        raise PointAtInfinityError(
-            "state at the projection pole maps to infinity; "
-            "switch to another post-selection plane")
+        raise PoleStateError("weak value diverges: the state is the "
+                             "projection pole of the post-selection")
     return w
 
 
@@ -160,7 +147,7 @@ def stereographic_invert(point: complex, postselection: BlochVector = SOUTH_POLE
     return BlochVector.from_array((1.0 - t) * p + t * q)
 
 
-def weak_condition_margin(w, probe) -> float:
+def weak_condition_margin(w: complex, probe) -> float:
     """Validity margin (W0/G) / max(1, |w|) of the weak approximation.
 
     Values well above 1 mean the post-selected probe is a rigidly
@@ -168,5 +155,4 @@ def weak_condition_margin(w, probe) -> float:
     """
     if probe.g <= 0:
         raise ValueError("margin requires a positive coupling displacement")
-    value = w.value if isinstance(w, WeakValue) else complex(w)
-    return float((probe.w0 / probe.g) / max(1.0, abs(value)))
+    return float((probe.w0 / probe.g) / max(1.0, abs(w)))

@@ -743,14 +743,28 @@ class TestCentroidCheck:
     def test_unknown_config_file(self, capsys):
         assert main(["centroid-check", "--grid", "no-such.json"]) == EXIT_CONFIG
 
+    def test_grid_without_a_sign_vote_reports_the_sign_untested(
+            self, tmp_path, capsys):
+        # Im w = 0 on every row: no row votes on the sign of y
+        grid = write_json(tmp_path / "grid.json", {
+            "thetas": [np.pi / 4], "phis": [0.0, np.pi], "g_over_w0": [0.05],
+            "resolution": 64})
+        assert main(["centroid-check", "--grid", grid]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "centroid sign untested" in out
+        assert "resolved centroid sign" not in out
+        assert "passed" in out
+
     @pytest.mark.parametrize("field, value", [
         ("resolution", 64.7),
         ("resolution", "64"),
         ("w0_mm", float("nan")),
         ("w0_mm", "1.0"),
         ("thetas", 0.5),
+        ("thetas", [0.0]),
+        ("thetas", [2.0]),
     ], ids=["fractional-resolution", "string-resolution", "nan-w0",
-            "string-w0", "scalar-thetas"])
+            "string-w0", "scalar-thetas", "pole-theta", "theta-past-half-pi"])
     def test_malformed_grid_field_is_config_error(self, tmp_path, capsys,
                                                   field, value):
         grid = {"thetas": [np.pi / 4], "phis": [0.9], "g_over_w0": [0.05],

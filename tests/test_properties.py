@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from vortexscope import cli
 from vortexscope.estimation import (AmbiguousVortexError, Calibration,
                                     EstimationError, NoVortexError,
                                     ZipEstimate, extract_zip,
@@ -18,11 +20,12 @@ from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, integer, read_image, real,
                                  reals, write_image)
 from vortexscope.polarization import BlochVector, QubitState
-from vortexscope.probefield import (ProbeConfig, ZeroFieldError, approx_field,
-                                    exact_field, mixed_exact_field)
-from vortexscope.weakvalue import (PointAtInfinityError, PoleStateError,
-                                   pointer_amplitudes, projection_frame,
-                                   stereographic_invert, stereographic_project,
+from vortexscope.probefield import (ProbeConfig, TruncationWarning,
+                                    ZeroFieldError, approx_field, exact_field,
+                                    mixed_exact_field)
+from vortexscope.weakvalue import (PoleStateError, pointer_amplitudes,
+                                   projection_frame, stereographic_invert,
+                                   stereographic_project,
                                    weak_value_mixed, weak_value_pure)
 
 angles = st.floats(0.0, 2 * np.pi)
@@ -81,7 +84,7 @@ def test_stereographic_project_is_the_pointer_weak_value(angle, theta, phi):
     state = QubitState(theta, phi)
     w = pointer_amplitudes(state, postselection)[2]
     if w is None:
-        with pytest.raises(PointAtInfinityError):
+        with pytest.raises(PoleStateError):
             stereographic_project(state, postselection)
     else:
         projected = stereographic_project(state, postselection)
@@ -493,6 +496,53 @@ def test_converters_accept_only_their_numbers(value):
     else:
         with pytest.raises(ValueError, match="'field'"):
             integer(section, "field")
+
+
+# ---------------------------------------------------------------------------
+# centroid-check on hostile grids
+# ---------------------------------------------------------------------------
+
+def run_centroid_check(directory, **grid):
+    """Exit code of centroid-check on a 64-pixel grid with `grid` entries."""
+    path = directory / "grid.json"
+    path.write_text(json.dumps({"thetas": [np.pi / 4], "phis": [0.9],
+                                "g_over_w0": [0.05], "resolution": 64}
+                               | grid))
+    return cli.main(["centroid-check", "--grid", str(path)])
+
+
+# mostly lists of angles, so that many grids reach the quadrature; angles
+# near 0 put a state next to the pole, where 64 pixels cannot resolve it
+grid_entries = st.lists(st.floats(0.0, 2.0) | st.floats(0.0, 1e-2)
+                        | st.floats(), min_size=1, max_size=3) | json_values
+
+
+@example([0.0], [0.9])  # the pole
+@example([2.0], [0.9])  # past pi/2
+@given(grid_entries, grid_entries)
+def test_centroid_check_exits_with_a_documented_code(tmp_path_factory,
+                                                     thetas, phis):
+    directory = tmp_path_factory.mktemp("grid")
+    assert run_centroid_check(directory, thetas=thetas, phis=phis) \
+        in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CHECK)
+
+
+@pytest.mark.parametrize("grid, code, warns", [
+    ({"g_over_w0": [1e6]}, cli.EXIT_CHECK, True),  # no light in the window
+    ({"w0_mm": 1e-150}, cli.EXIT_CHECK, False),  # the quadrature overflows
+    ({"g_over_w0": [1e300]}, cli.EXIT_CONFIG, False),  # closed form overflows
+], ids=["far-displaced", "tiny-w0", "overflowing-closed-form"])
+def test_centroid_check_fails_a_grid_past_the_float_range(tmp_path, capsys,
+                                                          grid, code, warns):
+    with warnings.catch_warnings(record=True) as caught:
+        assert run_centroid_check(tmp_path, **grid) == code
+    assert [w.category for w in caught] == [TruncationWarning] * warns
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_CHECK:
+        assert "max deviation nan" in out
+        assert "centroid check FAILED" in err
+    else:
+        assert "'g_over_w0' entry 1e+300" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@ import pytest
 
 from vortexscope.polarization import BlochVector, QubitState
 from vortexscope.probefield import ProbeConfig
-from vortexscope.weakvalue import (SOUTH_POLE, PointAtInfinityError,
-                                   PoleStateError, WeakValue,
-                                   ZeroPostselectionError,
+from vortexscope.weakvalue import (SOUTH_POLE, PoleStateError,
                                    stereographic_invert,
                                    stereographic_project,
                                    weak_condition_margin,
@@ -91,7 +89,7 @@ class TestMixedWeakValue:
             assert w.value == pytest.approx(trace_oracle(r, f), abs=1e-12)
 
     def test_zero_probability_postselection(self):
-        with pytest.raises(ZeroPostselectionError):
+        with pytest.raises(PoleStateError):
             weak_value_mixed(BlochVector(0, 0, 1), SOUTH_POLE)
 
     def test_rejects_postselection_off_the_plane(self):
@@ -126,9 +124,9 @@ class TestStereographicProjection:
             assert stereographic_project(state) == weak_value_pure(state).value
 
     def test_pole_is_an_error(self):
-        with pytest.raises(PointAtInfinityError):
+        with pytest.raises(PoleStateError):
             stereographic_project(QubitState(0, 0), SOUTH_POLE)
-        with pytest.raises(PointAtInfinityError):
+        with pytest.raises(PoleStateError):
             stereographic_project(BlochVector(0, 0, -1), BlochVector(0, 0, 1))
 
     def test_latitude_circles_have_constant_radius(self):
@@ -136,6 +134,34 @@ class TestStereographicProjection:
             radii = [abs(stereographic_project(QubitState(theta, phi)))
                      for phi in np.linspace(0, 2 * np.pi, 17, endpoint=False)]
             assert max(radii) - min(radii) < 1e-12
+
+
+class TestOnePoleError:
+    """Every weak value refuses the pole -f with PoleStateError, by the
+    amplitude test for a state and the 1 - r.p test for a Bloch vector."""
+
+    def test_state_next_to_the_pole(self):
+        state = QubitState(1e-13, 0.3)
+        with pytest.raises(PoleStateError):
+            stereographic_project(state)
+        with pytest.raises(PoleStateError):
+            weak_value_pure(state)
+
+    @pytest.mark.parametrize("theta", [1e-13, 1e-7])
+    def test_bloch_vector_next_to_the_pole(self, theta):
+        bloch = QubitState(theta, 0.3).bloch()
+        with pytest.raises(PoleStateError):
+            stereographic_project(bloch)
+        with pytest.raises(PoleStateError):
+            weak_value_mixed(bloch, SOUTH_POLE)
+
+    def test_amplitude_form_keeps_the_state_near_the_pole(self):
+        # 1 - r.p has cancelled to 2e-14 here; c0/c1 keeps every digit
+        w = complex(float.fromhex("0x1.238ba9c852b5dp+23"),
+                    float.fromhex("-0x1.68be10886c995p+21"))
+        state = QubitState(1e-7, 0.3)
+        assert weak_value_pure(state).value == w
+        assert stereographic_project(state) == w
 
 
 def line_sphere_oracle(point, postselection):
@@ -167,7 +193,7 @@ class TestStereographicInversion:
         b = stereographic_invert(point, post)
         assert np.allclose(b.as_array(), line_sphere_oracle(point, post),
                            atol=1e-12)
-        assert b.is_pure(tol=1e-12)
+        assert b.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_roundtrip_identity(self):
         for theta in np.linspace(0.05, np.pi / 2, 9):
@@ -202,19 +228,19 @@ class TestStereographicInversion:
 class TestWeakConditionMargin:
     def test_direct_substitution(self):
         probe = ProbeConfig(w0=1.0, g=0.05)
-        assert weak_condition_margin(WeakValue(1.0), probe) == pytest.approx(20.0)
-        assert weak_condition_margin(WeakValue(50.0), probe) \
+        assert weak_condition_margin(1.0, probe) == pytest.approx(20.0)
+        assert weak_condition_margin(50.0, probe) \
             == pytest.approx(0.4)
 
     def test_h_state_default_geometry(self):
         probe = ProbeConfig(w0=1.0, g=0.05)
-        w = weak_value_pure(QubitState(np.pi / 4, 0))
+        w = weak_value_pure(QubitState(np.pi / 4, 0)).value
         assert weak_condition_margin(w, probe) == pytest.approx(20.0)
 
     def test_small_weak_values_capped_at_one(self):
         probe = ProbeConfig(w0=1.0, g=0.1)
-        assert weak_condition_margin(WeakValue(0.1), probe) == pytest.approx(10.0)
+        assert weak_condition_margin(0.1, probe) == pytest.approx(10.0)
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
-            weak_condition_margin(WeakValue(1.0), ProbeConfig(w0=1.0, g=0.0))
+            weak_condition_margin(1.0, ProbeConfig(w0=1.0, g=0.0))
