@@ -16,14 +16,13 @@ import operator
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .probefield import TruncationWarning
+from .probefield import TruncationWarning, band_pool, map_row_bands
 
 
 class ImageFormatError(ValueError):
@@ -86,8 +85,9 @@ class IntensityImage:
     each, as a graymap keeps them; float intensities take scale 1.  Counts
     are never NaN or negative, so only float intensities are scanned: one
     unsigned max over their bit patterns both validates the frame and gives
-    its peak.  The peak is taken once, at construction, so `stored` and
-    `pixels` are read-only views.
+    its peak.  A C-contiguous frame is scanned in row bands on the shared
+    pool, and the peak is the max of the bands' maxima.  The peak is taken
+    once, at construction, so `stored` and `pixels` are read-only views.
     """
 
     stored: np.ndarray
@@ -114,7 +114,12 @@ class IntensityImage:
             # Finite nonnegative doubles order like their bit patterns, all
             # below +inf's; NaN, inf and every negative value, -0.0 too, lie
             # at or above it.  Below it, the largest pattern is the peak.
-            top = stored.view(np.uint64).max()
+            bits = stored.view(np.uint64)
+            if bits.flags.c_contiguous:
+                top = max(map_row_bands(
+                    lambda start, stop: bits[start:stop].max(), len(bits)))
+            else:
+                top = bits.max()
             if top < _INF_BITS:
                 peak = float(top.view(np.float64))
             else:
@@ -273,27 +278,6 @@ def checked_seed(value) -> int:
 # Generator(SFC64(SeedSequence(s, spawn_key=(f, b)))), so the band height is
 # part of the output: changing it changes every noisy byte.
 _NOISE_ROWS = 64
-_noise_threads = None
-
-
-def _noise_pool() -> ThreadPoolExecutor:
-    """The module's band-drawing pool, built on first use with one worker
-    per CPU this process may run on."""
-    global _noise_threads
-    if _noise_threads is None:
-        _noise_threads = ThreadPoolExecutor(
-            max_workers=len(os.sched_getaffinity(0)),
-            thread_name_prefix="shot-noise")
-    return _noise_threads
-
-
-def _forget_noise_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _noise_threads
-    _noise_threads = None
-
-
-os.register_at_fork(after_in_child=_forget_noise_pool)
 
 
 def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
@@ -302,10 +286,10 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
 
     Frame `frame` of run `seed` draws on SeedSequence(seed,
     spawn_key=(frame,)); that sequence is split into one SFC64 stream per
-    band of _NOISE_ROWS rows.  The bands are drawn in parallel (numpy's
-    sampler releases the GIL), and the counts depend only on (seed, frame,
-    band), never on the number of workers.  Geometry and upstream
-    provenance are untouched.
+    band of _NOISE_ROWS rows.  The bands are drawn in parallel on the shared
+    row-band pool (numpy's sampler releases the GIL), and the counts depend
+    only on (seed, frame, band), never on the number of workers.  Geometry
+    and upstream provenance are untouched.
     """
     photon_budget = checked_photon_budget(photon_budget)
     seed = checked_seed(seed)
@@ -324,7 +308,7 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
         np.multiply(img.pixels[start:start + _NOISE_ROWS], scale, out=rows)
         rows[...] = np.random.Generator(np.random.SFC64(stream)).poisson(rows)
 
-    list(_noise_pool().map(draw, bands, streams))
+    list(band_pool().map(draw, bands, streams))
     provenance = dict(img.provenance)
     provenance["noise"] = {"photon_budget": photon_budget, "seed": seed,
                            "frame": frame}
@@ -385,19 +369,29 @@ def write_image(img: IntensityImage, path) -> None:
     payload; until the payload is written its magic reads P0, which
     read_image rejects, so an interrupted write never passes for an image.
     The write holds an exclusive flock, so a reader never sees it half done.
+
+    The quantiser divides, rounds and stores in row bands on the shared
+    pool; each worker's float buffer holds _QUANTIZE_ROWS // workers rows,
+    so together they hold at most one _QUANTIZE_ROWS block.
     """
     path = _graymap_path(path)
     peak = img.max_intensity()
     scale = peak / _PGM_MAXVAL if peak > 0 else 1.0
     header = _header_dict(img, scale)
-    quantized = np.empty(img.pixels.shape, dtype=">u2")
-    block = np.empty((_QUANTIZE_ROWS, img.sensor.width))
-    for start in range(0, img.sensor.height, _QUANTIZE_ROWS):
-        rows = img.pixels[start:start + _QUANTIZE_ROWS]
-        part = block[:len(rows)]
-        np.divide(rows, scale, out=part)
-        np.rint(part, out=part)
-        quantized[start:start + len(rows)] = part
+    pixels = img.pixels
+    quantized = np.empty(pixels.shape, dtype=">u2")
+    step = max(1, _QUANTIZE_ROWS // band_pool()._max_workers)
+
+    def quantize(start, stop):
+        block = np.empty((min(step, stop - start), img.sensor.width))
+        for i in range(start, stop, step):
+            rows = pixels[i:min(i + step, stop)]
+            part = block[:len(rows)]
+            np.divide(rows, scale, out=part)
+            np.rint(part, out=part)
+            quantized[i:i + len(rows)] = part
+
+    map_row_bands(quantize, img.sensor.height)
     # no O_TRUNC: freeing and reallocating an existing frame's blocks
     # costs several times the write itself
     fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)

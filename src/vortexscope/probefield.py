@@ -13,8 +13,10 @@ grid for rendering.  Lengths are in millimeters throughout.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,13 +78,57 @@ class ProbeConfig:
 # Output rows per contraction block: 64 rows of a 1024-pixel frame are
 # 512 KiB, so the clamp finds each block still in a core's L2 cache.
 _BLOCK_ROWS = 64
+BAND_THREAD_PREFIX = "vortexscope-band"
+_band_threads = None
+
+
+def band_pool() -> ThreadPoolExecutor:
+    """The package's row-band pool, built on first use with one worker per
+    CPU this process may run on.  Its tasks run numpy kernels only, and
+    never submit to it."""
+    global _band_threads
+    if _band_threads is None:
+        _band_threads = ThreadPoolExecutor(
+            max_workers=len(os.sched_getaffinity(0)),
+            thread_name_prefix=BAND_THREAD_PREFIX)
+    return _band_threads
+
+
+def _forget_band_pool():
+    # a forked child inherits the pool object but none of its threads
+    global _band_threads
+    _band_threads = None
+
+
+os.register_at_fork(after_in_child=_forget_band_pool)
+
+
+def map_row_bands(function, rows: int) -> list:
+    """[function(start, stop), ...] over rows 0..rows, one contiguous run of
+    whole _BLOCK_ROWS blocks per pool worker, in row order.  The calling
+    thread takes the first run itself, so with one worker every row is
+    handled inline and no thread starts."""
+    pool = band_pool()
+    blocks = -(-rows // _BLOCK_ROWS)
+    runs = max(1, min(pool._max_workers, blocks))
+    cuts = [min(rows, blocks * k // runs * _BLOCK_ROWS)
+            for k in range(runs + 1)]
+    rest = pool.map(function, cuts[1:-1], cuts[2:])
+    try:
+        first = function(0, cuts[1])
+    finally:
+        rest = list(rest)  # no band is still being written on return
+    return [first, *rest]
 
 
 def _intensity(b, y, w0):
     """sum_n r[n](y) b[n] with row factors r[n] = y^n exp(-y^2/2 w0^2), one
     contraction over the broadcast grid, clamped at 0, which rounding
     undershoots at an exact zero of the field.  Each element is the same sum
-    of the same products for any y, so row chunks are bit-exact."""
+    of the same products for any y, so row chunks are bit-exact.
+
+    The contraction runs in _BLOCK_ROWS-row blocks, which `map_row_bands`
+    spreads over the pool; a 0-d grid is contracted inline."""
     y = np.asarray(y, dtype=float)
     gauss = np.exp(y * y * (-0.5 / w0 ** 2))
     # the term axis n moves last as a view, so the grid axes broadcast
@@ -90,13 +136,21 @@ def _intensity(b, y, w0):
         np.moveaxis(np.multiply.accumulate([gauss] + [y] * (len(b) - 1)), 0, -1),
         np.moveaxis(np.stack(b), 0, -1))
     out = np.empty(rows.shape[:-1])
-    blocks = ([slice(i, i + _BLOCK_ROWS) for i in range(0, len(out), _BLOCK_ROWS)]
-              if out.ndim else [Ellipsis])
-    for block in blocks:
+
+    def contract(block):
         part = out[block]
         np.einsum("...n,...n->...", rows[block], cols[block], out=part,
                   optimize=False)
         np.maximum(part, 0.0, out=part)
+
+    def band(start, stop):
+        for i in range(start, stop, _BLOCK_ROWS):
+            contract(slice(i, min(i + _BLOCK_ROWS, stop)))
+
+    if out.ndim:
+        map_row_bands(band, len(out))
+    else:
+        contract(Ellipsis)
     return out
 
 
@@ -314,8 +368,11 @@ def _quadrature_grid(field, resolution: int, extent: float):
 def _check_truncation(intensity, mass, cell, w0, what):
     edge = (intensity[0, :].sum() + intensity[-1, :].sum()
             + intensity[:, 0].sum() + intensity[:, -1].sum()) * cell * cell
-    if mass <= 0 or edge / mass > 1e-9:
-        tail = edge / max(mass, 1e-300) * (w0 / cell)
+    if mass <= 0:
+        warnings.warn(f"{what}: the window holds no light", TruncationWarning,
+                      stacklevel=3)
+    elif edge / mass > 1e-9:
+        tail = edge / mass * (w0 / cell)
         warnings.warn(
             f"{what}: window may truncate the field; "
             f"estimated relative tail mass ~{tail:.2e}", TruncationWarning,

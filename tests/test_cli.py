@@ -4,19 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vortexscope.cli import (EXIT_CONFIG, EXIT_ESTIMATION, EXIT_OK,
-                             build_parser, main)
+from vortexscope.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_ESTIMATION,
+                             EXIT_OK, build_parser, main)
 from vortexscope.estimation import Calibration
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  read_image)
 from vortexscope.polarization import QubitState, infinity_path
-from vortexscope.probefield import ProbeConfig, exact_field
+from vortexscope.probefield import (BAND_THREAD_PREFIX, ProbeConfig,
+                                    TruncationWarning, exact_field)
 
 
 def write_json(path, payload):
@@ -727,6 +729,33 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
                for module, name, value in originals)
 
 
+def test_pipeline_runs_no_thread_outside_the_band_pool(tmp_path):
+    # perfbench's tracer keeps one span stack and its host-speed probes
+    # subtract kernel time from the calls they wrap, so both assume the
+    # traced calls run on the main thread; only the band workers, which run
+    # numpy kernels alone, may run beside it
+    sensor = {"pixel_pitch_mm": 8.0 / 128, "width": 128, "height": 128}
+    pure = base_config(tmp_path, sensor=sensor,
+                       states={"kind": "equator", "steps": 2},
+                       noise={"photon_budget": 1e6, "seed": 3})
+    mixed = write_json(tmp_path / "tomo.json",
+                       json.loads(Path(pure).read_text())
+                       | {"states": {"kind": "bloch", "x": 0.5, "y": -0.3,
+                                     "z": 0.6},
+                          "postselections": [[0, 0, -1], [0, 0, 1],
+                                             [0, 1, 0], [0, -1, 0]]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", pure, "--out", str(out)]) == EXIT_OK
+    assert main(["estimate", "--cal", write_calibration(tmp_path),
+                 "--postselect", "0,0,-1", "--threshold-fraction", "0.1",
+                 "--out", str(out / "estimates.csv"),
+                 *sorted(map(str, out.glob("img_*.pgm")))]) == EXIT_OK
+    assert main(["tomo", "--config", mixed]) == EXIT_OK
+    others = [thread.name for thread in threading.enumerate()
+              if thread is not threading.main_thread()]
+    assert all(name.startswith(BAND_THREAD_PREFIX) for name in others), others
+
+
 class TestCentroidCheck:
     def test_small_grid_passes_and_reports_sign(self, tmp_path, capsys):
         grid = write_json(tmp_path / "grid.json", {
@@ -754,6 +783,17 @@ class TestCentroidCheck:
         assert "centroid sign untested" in out
         assert "resolved centroid sign" not in out
         assert "passed" in out
+
+    def test_window_without_light_says_so(self, tmp_path):
+        # the vortex sits 1e6 w0 off the window: no pixel holds light
+        grid = write_json(tmp_path / "grid.json", {
+            "thetas": [0.7], "phis": [0.9], "g_over_w0": [1e6],
+            "resolution": 64})
+        with pytest.warns(TruncationWarning) as caught:
+            assert main(["centroid-check", "--grid", grid]) == EXIT_CHECK
+        messages = [str(warning.message) for warning in caught]
+        assert any("the window holds no light" in m for m in messages)
+        assert not any("tail mass" in m for m in messages)
 
     @pytest.mark.parametrize("field, value", [
         ("resolution", 64.7),

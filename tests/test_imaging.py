@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vortexscope import imaging
+from vortexscope import imaging, probefield
 from vortexscope.estimation import extract_zip
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, add_shot_noise, fast_sensor,
@@ -231,14 +231,8 @@ class TestNoiseStreams:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_count_does_not_change_pixels(self, monkeypatch, workers):
         default = add_shot_noise(self.img, 1e6, seed=11, frame=2).pixels
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the band writers finely
-        try:
-            with ThreadPoolExecutor(workers) as pool:
-                monkeypatch.setattr(imaging, "_noise_threads", pool)
-                pooled = add_shot_noise(self.img, 1e6, seed=11, frame=2).pixels
-        finally:
-            sys.setswitchinterval(interval)
+        pooled = with_pool_width(monkeypatch, workers, lambda: add_shot_noise(
+            self.img, 1e6, seed=11, frame=2).pixels)
         assert np.array_equal(pooled, default)
         assert np.array_equal(pooled, banded_reference(self.img, 1e6, 11, 2))
 
@@ -254,6 +248,72 @@ class TestNoiseStreams:
         try:
             assert receive.poll(60), "forked child did not finish its draw"
             assert receive.recv_bytes() == expected.tobytes()
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            child.kill()
+            child.join()
+
+
+def with_pool_width(monkeypatch, workers, call):
+    """call() with the shared band pool `workers` wide, with the band
+    threads switching as finely as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(probefield, "_band_threads", pool)
+            return call()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestRowBands:
+    # two full 64-row blocks and a partial one
+    SENSOR = SensorConfig(pixel_pitch=8.0 / 128, width=128,
+                          height=2 * 64 + 37)
+    FIELD = exact_field(PROBE, QubitState(0.7, 2.0),
+                        BlochVector(0.0, np.sin(0.4), -np.cos(0.4)))
+
+    def render_and_write(self, path):
+        img = render(self.FIELD, self.SENSOR)
+        write_image(img, path)
+        return img, path.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_width_does_not_change_pixels_or_payload(
+            self, tmp_path, monkeypatch, workers):
+        default, payload = self.render_and_write(tmp_path / "default.pgm")
+        img, pooled = with_pool_width(
+            monkeypatch, workers,
+            lambda: self.render_and_write(tmp_path / "pooled.pgm"))
+        assert np.array_equal(img.pixels, default.pixels)
+        assert img.max_intensity() == default.pixels.max()
+        assert pooled == payload
+        scale = default.pixels.max() / 65535
+        expected = np.rint(default.pixels / scale).astype(">u2").tobytes()
+        assert payload[-len(expected):] == expected
+
+    def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(probefield, "_band_threads", pool)
+            threads = threading.active_count()
+            self.render_and_write(tmp_path / "img.pgm")
+            assert threading.active_count() == threads
+            assert not pool._threads
+
+    def test_forked_child_renders_and_quantises_parent_bytes(self, tmp_path):
+        # the parent's pool has threads before the fork; the child must
+        # not queue work on threads it did not inherit
+        img, expected = self.render_and_write(tmp_path / "parent.pgm")
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: send.send_bytes(
+            self.render_and_write(tmp_path / "child.pgm")[1]))
+        child.start()
+        try:
+            assert receive.poll(60), "forked child did not finish its frame"
+            assert receive.recv_bytes() == expected
             child.join(60)
             assert child.exitcode == 0
         finally:
@@ -490,7 +550,7 @@ class TestFrameMemory:
 
     def test_add_shot_noise_allocates_output_and_one_band_per_worker(self):
         img = render(self.field, experiment_ccd())
-        workers = imaging._noise_pool()._max_workers
+        workers = probefield.band_pool()._max_workers
         noisy, peak = traced_peak(lambda: add_shot_noise(img, 1e6, seed=2))
         band = imaging._NOISE_ROWS * img.sensor.width * 8
         assert peak <= noisy.pixels.nbytes + workers * band + self.MIB

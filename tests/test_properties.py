@@ -186,7 +186,7 @@ def pgm_parts(tmp_path_factory):
     return path.parent, json.loads(comment[1:]), payload
 
 
-json_values = st.recursive(
+header_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
@@ -195,7 +195,7 @@ json_values = st.recursive(
 header_edits = st.dictionaries(
     st.sampled_from(["pixel_pitch_mm", "width", "height", "origin_offset_mm",
                      "intensity_scale", "provenance"]),
-    st.none() | json_values, max_size=3)  # None deletes the field
+    st.none() | header_values, max_size=3)  # None deletes the field
 lines = st.sampled_from([b"", b"P2", b"16 17", b"16", b"255", b"#",
                          b"# {", b"16 16 65535"]) | st.binary(max_size=12)
 
@@ -471,13 +471,13 @@ def test_count_image_extracts_like_its_float_view(frame, scale):
     assert zip_outcome(extract, img) == zip_outcome(extract, float_view(img))
 
 
-json_values = st.recursive(
+converter_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
     max_leaves=4)
 
 
-@given(json_values)
+@given(converter_values)
 def test_converters_accept_only_their_numbers(value):
     section = {"field": value}
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -513,8 +513,9 @@ def run_centroid_check(directory, **grid):
 
 # mostly lists of angles, so that many grids reach the quadrature; angles
 # near 0 put a state next to the pole, where 64 pixels cannot resolve it
-grid_entries = st.lists(st.floats(0.0, 2.0) | st.floats(0.0, 1e-2)
-                        | st.floats(), min_size=1, max_size=3) | json_values
+grid_entries = (st.lists(st.floats(0.0, 2.0) | st.floats(0.0, 1e-2)
+                         | st.floats(), min_size=1, max_size=3)
+                | converter_values)
 
 
 @example([0.0], [0.9])  # the pole
