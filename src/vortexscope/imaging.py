@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .probefield import TruncationWarning, band_pool, map_row_bands
+from .probefield import TruncationWarning, map_row_bands
 
 
 class ImageFormatError(ValueError):
@@ -85,9 +85,9 @@ class IntensityImage:
     each, as a graymap keeps them; float intensities take scale 1.  Counts
     are never NaN or negative, so only float intensities are scanned: one
     unsigned max over their bit patterns both validates the frame and gives
-    its peak.  A C-contiguous frame is scanned in row bands on the shared
-    pool, and the peak is the max of the bands' maxima.  The peak is taken
-    once, at construction, so `stored` and `pixels` are read-only views.
+    its peak.  The frame is scanned in row bands on the shared pool, and the
+    peak is the max of the bands' maxima.  The peak is taken once, at
+    construction, so `stored` and `pixels` are read-only views.
     """
 
     stored: np.ndarray
@@ -115,11 +115,8 @@ class IntensityImage:
             # below +inf's; NaN, inf and every negative value, -0.0 too, lie
             # at or above it.  Below it, the largest pattern is the peak.
             bits = stored.view(np.uint64)
-            if bits.flags.c_contiguous:
-                top = max(map_row_bands(
-                    lambda start, stop: bits[start:stop].max(), len(bits)))
-            else:
-                top = bits.max()
+            top = max(map_row_bands(
+                lambda start, stop: bits[start:stop].max(), len(bits)))
             if top < _INF_BITS:
                 peak = float(top.view(np.float64))
             else:
@@ -299,16 +296,19 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
         raise ValueError("cannot scale a zero image to a photon budget")
     scale = photon_budget / total
     counts = np.empty(img.pixels.shape)
-    bands = range(0, img.sensor.height, _NOISE_ROWS)
-    streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(len(bands))
+    streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(
+        -(-img.sensor.height // _NOISE_ROWS))
 
-    def draw(start, stream):
-        # each worker scales its own band into the output, then draws on it
-        rows = counts[start:start + _NOISE_ROWS]
-        np.multiply(img.pixels[start:start + _NOISE_ROWS], scale, out=rows)
-        rows[...] = np.random.Generator(np.random.SFC64(stream)).poisson(rows)
+    def draw(start, stop):
+        # each run scales its own bands into the output, then draws on them;
+        # runs start on multiples of 64 rows, so no band is split
+        for i in range(start, stop, _NOISE_ROWS):
+            rows = counts[i:i + _NOISE_ROWS]
+            np.multiply(img.pixels[i:i + _NOISE_ROWS], scale, out=rows)
+            rows[...] = np.random.Generator(
+                np.random.SFC64(streams[i // _NOISE_ROWS])).poisson(rows)
 
-    list(band_pool().map(draw, bands, streams))
+    map_row_bands(draw, img.sensor.height)
     provenance = dict(img.provenance)
     provenance["noise"] = {"photon_budget": photon_budget, "seed": seed,
                            "frame": frame}
@@ -371,8 +371,9 @@ def write_image(img: IntensityImage, path) -> None:
     The write holds an exclusive flock, so a reader never sees it half done.
 
     The quantiser divides, rounds and stores in row bands on the shared
-    pool; each worker's float buffer holds _QUANTIZE_ROWS // workers rows,
-    so together they hold at most one _QUANTIZE_ROWS block.
+    pool.  Each band's float block holds its share of _QUANTIZE_ROWS rows,
+    in proportion to the band's rows, so together they hold at most one
+    _QUANTIZE_ROWS block.
     """
     path = _graymap_path(path)
     peak = img.max_intensity()
@@ -380,10 +381,11 @@ def write_image(img: IntensityImage, path) -> None:
     header = _header_dict(img, scale)
     pixels = img.pixels
     quantized = np.empty(pixels.shape, dtype=">u2")
-    step = max(1, _QUANTIZE_ROWS // band_pool()._max_workers)
 
     def quantize(start, stop):
-        block = np.empty((min(step, stop - start), img.sensor.width))
+        # each run's float block is its share of one _QUANTIZE_ROWS block
+        step = max(1, _QUANTIZE_ROWS * (stop - start) // img.sensor.height)
+        block = np.empty((step, img.sensor.width))
         for i in range(start, stop, step):
             rows = pixels[i:min(i + step, stop)]
             part = block[:len(rows)]

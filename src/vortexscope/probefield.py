@@ -8,6 +8,11 @@ shift) pairs, and a mixture a coherence matrix over two such terms; one
 routine evaluates both over physical (x, y) coordinates: pointwise on
 full meshgrids for quadrature and root finding, separably on an open pixel
 grid for rendering.  Lengths are in millimeters throughout.
+
+The module also owns the package's one thread pool: `map_row_bands` runs a
+frame's per-pixel passes (here the intensity contraction, in `imaging` the
+peak scan, the shot-noise draw and the PGM quantiser) in row bands on all
+available cores, and no output byte depends on the core count.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ BAND_THREAD_PREFIX = "vortexscope-band"
 _band_threads = None
 
 
-def band_pool() -> ThreadPoolExecutor:
+def _band_pool() -> ThreadPoolExecutor:
     """The package's row-band pool, built on first use with one worker per
     CPU this process may run on.  Its tasks run numpy kernels only, and
     never submit to it."""
@@ -107,13 +112,21 @@ def map_row_bands(function, rows: int) -> list:
     """[function(start, stop), ...] over rows 0..rows, one contiguous run of
     whole _BLOCK_ROWS blocks per pool worker, in row order.  The calling
     thread takes the first run itself, so with one worker every row is
-    handled inline and no thread starts."""
-    pool = band_pool()
+    handled inline and no thread starts.  Every run sees the caller's
+    numpy floating-point error state."""
+    pool = _band_pool()
     blocks = -(-rows // _BLOCK_ROWS)
     runs = max(1, min(pool._max_workers, blocks))
     cuts = [min(rows, blocks * k // runs * _BLOCK_ROWS)
             for k in range(runs + 1)]
-    rest = pool.map(function, cuts[1:-1], cuts[2:])
+    errors = np.geterr()
+
+    def run(start, stop):
+        # pool threads do not inherit the caller's np.errstate
+        with np.errstate(**errors):
+            return function(start, stop)
+
+    rest = pool.map(run, cuts[1:-1], cuts[2:])
     try:
         first = function(0, cuts[1])
     finally:

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -298,9 +299,28 @@ class TestRowBands:
         with ThreadPoolExecutor(1) as pool:
             monkeypatch.setattr(probefield, "_band_threads", pool)
             threads = threading.active_count()
-            self.render_and_write(tmp_path / "img.pgm")
+            img, _ = self.render_and_write(tmp_path / "img.pgm")
+            add_shot_noise(img, 1e5, seed=3)
             assert threading.active_count() == threads
             assert not pool._threads
+
+    def test_pool_bands_see_the_callers_error_state(self, monkeypatch):
+        # only the rows past the first run, which the pool threads take,
+        # divide by zero
+        def divide(start, stop):
+            rows = np.ones(stop - start)
+            return rows / (rows if start == 0 else rows * 0)
+
+        rows = self.SENSOR.height
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            with_pool_width(monkeypatch, 3,
+                            lambda: probefield.map_row_bands(divide, rows))
+        with np.errstate(divide="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bands = with_pool_width(
+                monkeypatch, 3, lambda: probefield.map_row_bands(divide, rows))
+        assert [len(band) for band in bands] == [64, 64, 37]
+        assert np.concatenate(bands).tolist() == [1.0] * 64 + [np.inf] * 101
 
     def test_forked_child_renders_and_quantises_parent_bytes(self, tmp_path):
         # the parent's pool has threads before the fork; the child must
@@ -550,7 +570,7 @@ class TestFrameMemory:
 
     def test_add_shot_noise_allocates_output_and_one_band_per_worker(self):
         img = render(self.field, experiment_ccd())
-        workers = probefield.band_pool()._max_workers
+        workers = probefield._band_pool()._max_workers
         noisy, peak = traced_peak(lambda: add_shot_noise(img, 1e6, seed=2))
         band = imaging._NOISE_ROWS * img.sensor.width * 8
         assert peak <= noisy.pixels.nbytes + workers * band + self.MIB
