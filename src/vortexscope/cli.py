@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
 import sys
 import warnings
@@ -178,14 +179,20 @@ def _render_lit(field, sensor, subject: str) -> imaging.IntensityImage:
     return image
 
 
-def _write_csv(path, header, rows, provenance=None):
-    with open(path, "w", newline="") as fh:
-        if provenance is not None:
-            fh.write("# provenance: " + json.dumps(provenance) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row]
-                         for row in rows)
+def _write_text(path, content: str) -> None:
+    """Rewrite a text output in place as UTF-8; until it is complete its
+    first character reads '!'."""
+    imaging.rewrite_file(path, b"!", content.encode())
+
+
+def _write_csv(path, header, rows, provenance):
+    fh = io.StringIO()
+    fh.write("# provenance: " + json.dumps(provenance) + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row]
+                     for row in rows)
+    _write_text(path, fh.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +360,8 @@ def cmd_tomo(args) -> int:
     report["uhlmann_fidelity"] = polarization.fidelity(source, result.bloch)
     print(json.dumps(report, indent=2))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"config": cfg, "report": report}, fh, indent=2)
+        _write_text(args.out, json.dumps({"config": cfg, "report": report},
+                                         indent=2))
     return EXIT_OK
 
 
@@ -432,7 +439,7 @@ def cmd_path(args) -> int:
         lines.append(",".join(_fmt(v) for v in polarization.state_csv_row(state)))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -127,9 +127,12 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     counts come from the sorted dark-pixel indices, the left run from
     argmin, and the dark pixels past the left run are all in the right run
     iff the first of them sits that many columns from the right edge.
+
     Region sizes come from one bincount over the labels of the band's dark
-    pixels, held in a band-sized label array, and the average runs over the
-    winner's pixels only, through the 1-D sensor axes.
+    pixels between each row's edge runs, held in a band-sized label array.
+    An edge-run pixel belongs to a region that the border rule drops anyway,
+    so no interior size, winner or candidate changes.  The average runs over
+    the winner's pixels only, through the 1-D sensor axes.
     """
     if not 0.0 < threshold_fraction < 0.5:
         raise ValueError("threshold_fraction must lie in (0, 0.5)")
@@ -151,7 +154,8 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     height, width = dark.shape
     starts = np.searchsorted(flat, np.arange(height + 1) * width)
     per_row = np.diff(starts)
-    left = dark.argmin(axis=1)  # dark run from the left edge; 0 if all dark
+    # dark run from the left edge: argmin reads 0 on an all-dark row
+    left = np.where(per_row == width, width, dark.argmin(axis=1))
     rest = per_row - left
     beyond = np.flatnonzero(rest)
     first = flat[starts[beyond] + left[beyond]]
@@ -161,7 +165,13 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     top, stop = max(inner[0] - 1, 0), min(inner[-1] + 2, height)
     band = np.empty((stop - top, width), np.int32)
     count = ndimage.label(dark[top:stop], output=band)
-    flat = flat[starts[top]:starts[stop]]  # band pixels: lit label 0 has size 0
+    # the band's dark pixels off the edge runs, in ascending order: row r
+    # holds flat[lo[r]:lo[r] + lengths[r]]; lit label 0 has size 0
+    right = dark[top:stop, ::-1].argmin(axis=1)  # 0 on an all-dark row
+    lo = starts[top:stop] + left[top:stop]
+    lengths = starts[top + 1:stop + 1] - right - lo
+    ends = np.cumsum(lengths)
+    flat = flat[np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)]
     flat_labels = band.ravel()[flat - top * width]
     sizes = np.bincount(flat_labels, minlength=count + 1)
     for edge in (band[0], band[-1], band[:, 0], band[:, -1]):

@@ -1,5 +1,6 @@
-"""Finite-pixel rendering of analytic fields, photon shot noise, and image
-file I/O (16-bit binary portable graymap with a JSON provenance comment).
+"""Finite-pixel rendering of analytic fields, photon shot noise, image file
+I/O (16-bit binary portable graymap with a JSON provenance comment), and the
+in-place rewrite through which every output file is written.
 
 Pixel values are point samples of the intensity at pixel centers; at CCD
 pitches far below the beam width the in-pixel variation is negligible, and
@@ -14,6 +15,7 @@ import json
 import numbers
 import operator
 import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -361,14 +363,40 @@ def _graymap_path(path) -> Path:
     return path
 
 
+def rewrite_file(path, placeholder: bytes, *chunks) -> None:
+    """Write the chunks (bytes or arrays) to path, one after another.
+
+    An existing file is overwritten in place and cut at the end of the last
+    chunk; it is not truncated first, since freeing and reallocating its
+    blocks costs several times the write itself.  Until then the file's
+    head, the first len(placeholder) bytes of the first chunk, reads as the
+    placeholder, so an interrupted rewrite never passes for a complete
+    file; the real head is written last.  The rewrite holds an exclusive
+    flock, so a reader that takes a shared one never sees it half done.  A
+    target that is not a regular file, such as a pipe, cannot be cut or
+    rewound and is written straight through.
+    """
+    head = chunks[0][:len(placeholder)]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        if not stat.S_ISREG(os.stat(fd).st_mode):
+            for chunk in chunks:
+                fh.write(chunk)
+            return
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released on close
+        for chunk in (placeholder, chunks[0][len(placeholder):], *chunks[1:]):
+            fh.write(chunk)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(head)
+
+
 def write_image(img: IntensityImage, path) -> None:
     """Write a 16-bit binary graymap, scaled to the frame's peak, with the
     sensor geometry, intensity scale and provenance in a JSON comment.
 
-    An existing file is overwritten in place and cut at the end of the
-    payload; until the payload is written its magic reads P0, which
-    read_image rejects, so an interrupted write never passes for an image.
-    The write holds an exclusive flock, so a reader never sees it half done.
+    The file goes through rewrite_file with placeholder magic P0, which
+    read_image rejects, so an interrupted rewrite never passes for an image.
 
     The quantiser divides, rounds and stores in row bands on the shared
     pool.  Each band's float block holds its share of _QUANTIZE_ROWS rows,
@@ -394,19 +422,9 @@ def write_image(img: IntensityImage, path) -> None:
             quantized[i:i + len(rows)] = part
 
     map_row_bands(quantize, img.sensor.height)
-    # no O_TRUNC: freeing and reallocating an existing frame's blocks
-    # costs several times the write itself
-    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
-    fcntl.flock(fd, fcntl.LOCK_EX)  # released on close
-    with os.fdopen(fd, "r+b") as fh:
-        fh.write(b"P0\n")
-        fh.write(b"# " + json.dumps(header).encode() + b"\n")
-        fh.write(f"{img.sensor.width} {img.sensor.height}\n".encode())
-        fh.write(f"{_PGM_MAXVAL}\n".encode())
-        fh.write(quantized)
-        fh.truncate()
-        fh.seek(0)
-        fh.write(b"P5")
+    rewrite_file(path, b"P0",
+                 f"P5\n# {json.dumps(header)}\n{img.sensor.width} "
+                 f"{img.sensor.height}\n{_PGM_MAXVAL}\n".encode(), quantized)
 
 
 def read_image(path) -> IntensityImage:

@@ -38,15 +38,43 @@ def base_config(tmp_path, **overrides):
     return write_json(tmp_path / "config.json", cfg)
 
 
+def csv_lines_of(text):
+    """Data lines of CSV text: header first, comments skipped."""
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
 def csv_lines(path):
     """Data lines of a CSV output: header first, comments skipped."""
-    return [line for line in path.read_text().splitlines()
-            if not line.startswith("#")]
+    return csv_lines_of(path.read_text())
 
 
 def write_calibration(tmp_path, g=0.05):
     cal = Calibration(origin=(0.0, 0.0), scale=g)
     return write_json(tmp_path / "cal.json", cal.to_json())
+
+
+def source_env():
+    """Environment for a child interpreter that imports this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def make_read_only(target, monkeypatch):
+    target.chmod(0o444)
+    if os.access(target, os.W_OK):
+        # a privileged process ignores the mode bits: refuse the write open
+        # of that file as the kernel does for anyone else
+        real_open = os.open
+
+        def mode_bits_open(path, flags, *args, **kwargs):
+            if (os.fspath(path) == str(target)
+                    and flags & (os.O_WRONLY | os.O_RDWR)):
+                raise PermissionError(errno.EACCES,
+                                      os.strerror(errno.EACCES), str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", mode_bits_open)
 
 
 class TestPath:
@@ -183,20 +211,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         frame = out / "img_0000_0.pgm"
-        frame.chmod(0o444)
-        if os.access(frame, os.W_OK):
-            # a privileged process ignores the mode bits: refuse the write
-            # open of that file as the kernel does for anyone else
-            real_open = os.open
-
-            def mode_bits_open(path, flags, *args, **kwargs):
-                if (os.fspath(path) == str(frame)
-                        and flags & (os.O_WRONLY | os.O_RDWR)):
-                    raise PermissionError(errno.EACCES,
-                                          os.strerror(errno.EACCES), str(path))
-                return real_open(path, flags, *args, **kwargs)
-
-            monkeypatch.setattr(os, "open", mode_bits_open)
+        make_read_only(frame, monkeypatch)
         before = frame.read_bytes()
         assert main(["simulate", "--config", cfg, "--out", str(out)]) \
             == EXIT_CONFIG
@@ -461,6 +476,130 @@ class TestTomo:
         assert main(["tomo", "--config", cfg]) == EXIT_CONFIG
 
 
+class BodyWriteFails:
+    """File wrapper whose write of anything past the one-byte placeholder
+    stops halfway."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > 1:
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("device lost")
+        return self.fh.write(data)
+
+
+class TestOutputRewrite:
+    """Every output file is rewritten in place, never truncated first."""
+
+    SENSOR = {"pixel_pitch_mm": 8.0 / 128, "width": 128, "height": 128}
+
+    def frames(self, tmp_path):
+        cfg = base_config(tmp_path, sensor=self.SENSOR,
+                          states={"kind": "equator", "steps": 2})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        return sorted(str(p) for p in out.glob("img_*.pgm"))
+
+    def estimate(self, tmp_path, out, images):
+        return main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out", str(out), *images])
+
+    def tomo_config(self, tmp_path, **extra):
+        return base_config(tmp_path, sensor=self.SENSOR,
+                           states={"kind": "bloch", "x": 0.5, "y": -0.3,
+                                   "z": 0.6},
+                           postselections=[[0, 0, -1], [0, 0, 1], [0, 1, 0],
+                                           [0, -1, 0]], **extra)
+
+    def test_shorter_estimates_over_longer_match_a_fresh_write(self, tmp_path):
+        images = self.frames(tmp_path)
+        again, fresh = tmp_path / "again.csv", tmp_path / "fresh.csv"
+        for out, subset in ((again, images), (again, images[:1]),
+                            (fresh, images[:1])):
+            assert self.estimate(tmp_path, out, subset) == EXIT_OK
+        assert again.read_bytes() == fresh.read_bytes()
+
+    def test_shorter_manifest_over_longer_matches_a_fresh_write(self, tmp_path):
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        long = base_config(tmp_path, sensor=self.SENSOR,
+                           states={"kind": "equator", "steps": 3})
+        assert main(["simulate", "--config", long, "--out", str(again)]) \
+            == EXIT_OK
+        short = base_config(tmp_path, sensor=self.SENSOR)
+        for out in (again, fresh):
+            assert main(["simulate", "--config", short, "--out", str(out)]) \
+                == EXIT_OK
+        assert ((again / "manifest.csv").read_bytes()
+                == (fresh / "manifest.csv").read_bytes())
+
+    def test_shorter_tomo_report_over_longer_matches_a_fresh_write(
+            self, tmp_path):
+        again, fresh = tmp_path / "again.json", tmp_path / "fresh.json"
+        long = self.tomo_config(tmp_path, note="x" * 4000)
+        assert main(["tomo", "--config", long, "--out", str(again)]) == EXIT_OK
+        short = self.tomo_config(tmp_path)
+        for out in (again, fresh):
+            assert main(["tomo", "--config", short, "--out", str(out)]) \
+                == EXIT_OK
+        assert again.read_bytes() == fresh.read_bytes()
+
+    def test_interrupted_rewrite_leaves_an_invalid_file(self, tmp_path,
+                                                        monkeypatch, capsys):
+        images = self.frames(tmp_path)
+        out_csv, report = tmp_path / "est.csv", tmp_path / "report.json"
+        cfg = self.tomo_config(tmp_path)
+        assert self.estimate(tmp_path, out_csv, images) == EXIT_OK
+        assert main(["tomo", "--config", cfg, "--out", str(report)]) == EXIT_OK
+        assert out_csv.read_bytes().startswith(b"#")
+        json.loads(report.read_text())
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs:
+                            BodyWriteFails(fdopen(*args, **kwargs)))
+        assert self.estimate(tmp_path, out_csv, images) == EXIT_CONFIG
+        assert main(["tomo", "--config", cfg, "--out", str(report)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.count("device lost") == 2
+        monkeypatch.undo()
+        assert out_csv.read_bytes().startswith(b"!")
+        with pytest.raises(ValueError):
+            json.loads(report.read_text())
+
+    def test_estimate_into_a_pipe_prints_the_csv(self, tmp_path):
+        images = self.frames(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "vortexscope.cli", "estimate", "--cal",
+             write_calibration(tmp_path), "--postselect", "0,0,-1",
+             "--out", "/dev/stdout", *images],
+            cwd=tmp_path, env=source_env(), capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("# provenance: ")
+        rows = list(csv.DictReader(csv_lines_of(done.stdout)))
+        assert [row["file"] for row in rows[:2]] == images
+
+    def test_read_only_estimates_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        images = self.frames(tmp_path)
+        out_csv = tmp_path / "est.csv"
+        assert self.estimate(tmp_path, out_csv, images) == EXIT_OK
+        make_read_only(out_csv, monkeypatch)
+        before = out_csv.read_bytes()
+        assert self.estimate(tmp_path, out_csv, images[:1]) == EXIT_CONFIG
+        assert str(out_csv) in capsys.readouterr().err
+        assert out_csv.read_bytes() == before
+
+
 @pytest.mark.filterwarnings("ignore::vortexscope.probefield.TruncationWarning",
                             "ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("noise", [None, {"photon_budget": 1e5, "seed": 1}],
@@ -642,11 +781,17 @@ FOOTPRINT_SCRIPT = """
 import json, sys
 from vortexscope.cli import main
 pure, cal, mixed, out = sys.argv[1:]
+frame = out + "/img_0000_0.pgm"
 codes = [main(["simulate", "--config", pure, "--out", out]),
          main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
                "--threshold-fraction", "0.1", "--out", out + "/estimates.csv",
-               out + "/img_0000_0.pgm"]),
-         main(["tomo", "--config", mixed])]
+               frame, frame]),
+         main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
+               "--threshold-fraction", "0.1", "--out", out + "/estimates.csv",
+               frame]),
+         main(["tomo", "--config", mixed]),
+         main(["tomo", "--config", mixed, "--out", out + "/tomo.json"]),
+         main(["path", "equator", "--steps", "4", "--out", out + "/path.csv"])]
 print(json.dumps({"codes": codes, "sparse": "scipy.sparse" in sys.modules}))
 """
 
@@ -664,18 +809,16 @@ def test_pipeline_leaks_no_resource_and_leaves_scipy_sparse_unloaded(tmp_path):
                                      "z": 0.6},
                           "postselections": [[0, 0, -1], [0, 0, 1],
                                              [0, 1, 0], [0, -1, 0]]})
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
          FOOTPRINT_SCRIPT, pure, write_calibration(tmp_path, g=0.05), mixed,
          str(tmp_path / "out")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, env=source_env(), capture_output=True, text=True,
+        timeout=300)
     assert done.returncode == 0, done.stderr
     assert "ResourceWarning" not in done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"codes": [EXIT_OK] * 3, "sparse": False}
+    assert report == {"codes": [EXIT_OK] * 6, "sparse": False}
 
 
 TRACED_LAYERS = ("imaging.render", "imaging.add_shot_noise",

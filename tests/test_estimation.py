@@ -193,6 +193,38 @@ def test_extract_zip_matches_full_frame_reference(frame):
     assert new.position == pytest.approx(ref.position, abs=1e-12)
 
 
+def test_noisy_frame_sizes_count_only_pixels_off_the_edge_runs(monkeypatch):
+    sensor = fast_sensor(W0, pixels=512)
+    probe = ProbeConfig(w0=W0, g=0.1)
+    clean = render(exact_field(probe, QubitState(np.pi / 3, 1.0)), sensor)
+    img = add_shot_noise(clean, 1e6, seed=3)
+    label, bincount = ndimage.label, np.bincount
+    seen = {"counted": []}
+
+    def label_spy(mask, *args, **kwargs):
+        count = label(mask, *args, **kwargs)
+        seen["mask"], seen["labels"] = mask, kwargs["output"]
+        return count
+
+    def bincount_spy(values, *args, **kwargs):
+        seen["counted"].append(values.copy())
+        return bincount(values, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", label_spy)
+    monkeypatch.setattr(np, "bincount", bincount_spy)
+    extract_zip(img, threshold_fraction=0.1)
+    monkeypatch.undo()
+    expected = []
+    for dark, labels in zip(seen["mask"], seen["labels"]):
+        lit = np.flatnonzero(~dark)
+        if lit.size:  # the dark pixels between the first and last lit one
+            between = slice(lit[0], lit[-1] + 1)
+            expected.append(labels[between][dark[between]])
+    (counted,) = seen["counted"]
+    assert np.array_equal(counted, np.concatenate(expected))
+    assert counted.size < seen["mask"].sum() / 2
+
+
 def test_clean_ccd_frame_labels_only_the_core_rows(monkeypatch):
     sensor = experiment_ccd()
     img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), sensor)

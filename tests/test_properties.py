@@ -355,6 +355,24 @@ def equal_holes():
     return dark
 
 
+def holes_at_run_ends(left_size, right_size):
+    """On one row, a hole one column after the left run (columns 0-2) and
+    another ending one column before the right run (columns 28-31)."""
+    dark = np.zeros((24, 32), bool)
+    dark[11, :3] = dark[11, -4:] = True
+    dark[11, 4:4 + left_size] = True
+    dark[11, 27 - right_size:27] = True
+    return dark
+
+
+def band_with_row(row):
+    """Holes above and below a row inside the band; the lower one wins."""
+    dark = np.zeros((24, 32), bool)
+    dark[4:6, 5:8] = dark[14:16, 20:24] = True
+    dark[10] = row
+    return dark
+
+
 @pytest.mark.parametrize("dark, expected", [
     (u_notch(), 9),
     (u_notch()[::-1, ::-1], 9),
@@ -365,9 +383,16 @@ def equal_holes():
     (equal_holes(), AmbiguousVortexError),
     (equal_holes()[:, :20], AmbiguousVortexError),
     (edge_rows() & (np.arange(24)[:, None] < 12), NoVortexError),
+    (holes_at_run_ends(7, 6), 7),
+    (holes_at_run_ends(6, 7), 7),
+    (holes_at_run_ends(6, 6), AmbiguousVortexError),
+    (band_with_row(True), 8),
+    (band_with_row(np.arange(32) >= 27), 8),
 ], ids=["u-notch-top", "u-notch-bottom", "hole-on-first-inner-row",
         "hole-on-last-inner-row", "hole-between-edge-runs", "full-and-empty-rows",
-        "three-way-tie", "two-way-tie", "exterior-only"])
+        "three-way-tie", "two-way-tie", "exterior-only",
+        "hole-after-left-run", "hole-before-right-run", "holes-at-both-run-ends",
+        "all-dark-row-in-band", "right-run-only-row-in-band"])
 def test_extract_zip_band_edge_cases(dark, expected):
     outcome = assert_matches_whole_frame(masked_frame(dark))
     if isinstance(expected, int):
