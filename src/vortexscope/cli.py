@@ -110,24 +110,19 @@ def parse_postselection(value) -> BlochVector:
 
 
 def parse_states(cfg: dict):
-    """State list from the 'states' config entry.
-
-    Returns (label, [QubitState, ...]) for pure sources or
-    (label, BlochVector) for a mixed Bloch source.
-    """
+    """The 'states' config entry: a list of QubitStates for a pure source,
+    or a BlochVector for a mixed one."""
     with _config_errors("config field 'states'"):
         source = mapping(cfg, "states")
         kind = source.get("kind")
         if kind == "explicit":
-            return "explicit", [QubitState(real(source, "theta"),
-                                           real(source, "phi"))]
+            return [QubitState(real(source, "theta"), real(source, "phi"))]
         if kind == "bloch":
-            return "bloch", BlochVector(real(source, "x"), real(source, "y"),
-                                        real(source, "z"))
-        if kind in ("equator", "infinity"):
-            steps = integer(source, "steps")
-            return kind, (polarization.equator_path(steps) if kind == "equator"
-                          else polarization.infinity_path(steps))
+            return BlochVector(real(source, "x"), real(source, "y"),
+                               real(source, "z"))
+        # a tuple compares by ==, so an unhashable kind reaches the error
+        if kind in tuple(polarization.PATHS):
+            return polarization.PATHS[kind](integer(source, "steps"))
     raise ConfigError(f"config field 'states.kind': unknown kind {kind!r}")
 
 
@@ -139,6 +134,18 @@ def parse_noise(cfg: dict):
         return {"photon_budget": imaging.checked_photon_budget(
                     real(noise, "photon_budget")),
                 "seed": imaging.checked_seed(noise.get("seed", 0))}
+
+
+def parse_scenario(cfg: dict):
+    """(probe, sensor, source, postselections, noise) of a scenario config,
+    parsed in that order; one post-selection, |1>, by default."""
+    probe = parse_probe(cfg)
+    sensor = parse_sensor(cfg, probe)
+    source = parse_states(cfg)
+    with _config_errors("config field 'postselections'"):
+        postselections = [parse_postselection(v)
+                          for v in cfg.get("postselections", [[0, 0, -1]])]
+    return probe, sensor, source, postselections, parse_noise(cfg)
 
 
 def load_config(path) -> dict:
@@ -162,21 +169,36 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _render_lit(field, sensor, subject: str) -> imaging.IntensityImage:
-    """render(field, sensor), or a ConfigError naming `subject` and g_mm if
-    the frame holds no light, as when the vortex is displaced far off the
-    sensor, or if its field overflows the float range, as the weak-limit
-    Gaussian of a large complex displacement does."""
-    try:
-        image = imaging.render(field, sensor)
-    except imaging.ImageFormatError:
-        raise ConfigError(f"{subject}: the frame renders non-finite "
-                          f"intensities on the sensor "
-                          f"(g_mm = {field.probe.g!r})") from None
-    if not image.max_intensity() > 0:
-        raise ConfigError(f"{subject}: the frame renders no light on the "
-                          f"sensor (g_mm = {field.probe.g!r})")
-    return image
+def _frames(build, probe, sources, postselections, sensor, noise, subject):
+    """Yield (index, p_index, field, shoot) for each source and, under it,
+    each post-selection; the field is build(probe, source, postselection),
+    made under the subject `subject.format(index=, p_index=)`.  shoot(),
+    called before the next frame is drawn, renders it and, with noise,
+    draws its counts on frame index * len(postselections) + p_index.  An
+    unlit or non-finite frame is a ConfigError naming the subject and g_mm
+    (a vortex displaced off the sensor, or the weak-limit Gaussian of a
+    large complex shift)."""
+    for index, source in enumerate(sources):
+        for p_index, postselection in enumerate(postselections):
+            named = subject.format(index=index, p_index=p_index)
+            with _config_errors(named):
+                field = build(probe, source, postselection)
+
+            def shoot():
+                try:
+                    image = imaging.render(field, sensor)
+                    fault = None if image.max_intensity() > 0 else "no light"
+                except imaging.ImageFormatError:
+                    fault = "non-finite intensities"
+                if fault:
+                    raise ConfigError(f"{named}: the frame renders {fault} on "
+                                      f"the sensor (g_mm = {probe.g!r})")
+                if noise is None:
+                    return image
+                return imaging.add_shot_noise(
+                    image, noise["photon_budget"], noise["seed"],
+                    frame=index * len(postselections) + p_index)
+            yield index, p_index, field, shoot
 
 
 def _write_text(path, content: str) -> None:
@@ -201,16 +223,10 @@ def _write_csv(path, header, rows, provenance):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    probe = parse_probe(cfg)
-    sensor = parse_sensor(cfg, probe)
-    kind, states = parse_states(cfg)
-    if kind == "bloch":
+    probe, sensor, states, postselections, noise = parse_scenario(cfg)
+    if isinstance(states, BlochVector):
         raise ConfigError("'simulate' expects pure states; use 'tomo' "
                           "for mixed-state scenarios")
-    with _config_errors("config field 'postselections'"):
-        postselections = [parse_postselection(v)
-                          for v in cfg.get("postselections", [[0, 0, -1]])]
-    noise = parse_noise(cfg)
     if args.seed is not None:
         with _config_errors("--seed"):
             seed = imaging.checked_seed(args.seed)
@@ -227,36 +243,31 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for index, state in enumerate(states):
-        for p_index, postselection in enumerate(postselections):
-            with _config_errors(f"state {index}, post-selection {p_index}"):
-                field = build(probe, state, postselection)
-            # the weak value diverges at the pole: no margin to report
-            margin = (0.0 if field.weak_value is None else
-                      weakvalue.weak_condition_margin(field.weak_value, probe))
-            # |w| = 1 can round a few ulps high; that alone does not warn
-            slack = 4 * np.spacing(MARGIN_WARN_THRESHOLD)
-            if 0 < margin < MARGIN_WARN_THRESHOLD - slack:
-                print(f"WARNING: weak-condition margin {margin:.2f} < "
-                      f"{MARGIN_WARN_THRESHOLD} for state {index}; the "
-                      "displaced-vortex reading is unreliable",
-                      file=sys.stderr)
-            image = _render_lit(field, sensor,
-                                f"state {index}, post-selection {p_index}")
-            image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
-            image.provenance["postselection"] = [postselection.x, postselection.y,
-                                                 postselection.z]
-            if noise is not None:
-                image = imaging.add_shot_noise(
-                    image, noise["photon_budget"], noise["seed"],
-                    frame=index * len(postselections) + p_index)
-            image.provenance["config"] = cfg
-            name = f"img_{index:04d}_{p_index}.pgm"
-            imaging.write_image(image, out_dir / name)
-            b = state.bloch()
-            rows.append((name, index, state.theta, state.phi, b.x, b.y, b.z,
-                         postselection.x, postselection.y, postselection.z,
-                         probe.w0, probe.g, probe.l, mode, margin))
+    for index, p_index, field, shoot in _frames(
+            build, probe, states, postselections, sensor, noise,
+            "state {index}, post-selection {p_index}"):
+        state, postselection = states[index], postselections[p_index]
+        # the weak value diverges at the pole: no margin to report
+        margin = (0.0 if field.weak_value is None else
+                  weakvalue.weak_condition_margin(field.weak_value, probe))
+        # |w| = 1 can round a few ulps high; that alone does not warn
+        slack = 4 * np.spacing(MARGIN_WARN_THRESHOLD)
+        if 0 < margin < MARGIN_WARN_THRESHOLD - slack:
+            print(f"WARNING: weak-condition margin {margin:.2f} < "
+                  f"{MARGIN_WARN_THRESHOLD} for state {index}; the "
+                  "displaced-vortex reading is unreliable",
+                  file=sys.stderr)
+        image = shoot()
+        image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
+        image.provenance["postselection"] = [postselection.x, postselection.y,
+                                             postselection.z]
+        image.provenance["config"] = cfg
+        name = f"img_{index:04d}_{p_index}.pgm"
+        imaging.write_image(image, out_dir / name)
+        b = state.bloch()
+        rows.append((name, index, state.theta, state.phi, b.x, b.y, b.z,
+                     postselection.x, postselection.y, postselection.z,
+                     probe.w0, probe.g, probe.l, mode, margin))
     _write_csv(out_dir / "manifest.csv",
                ["file", "index", "theta", "phi", "x", "y", "z",
                 "postselect_x", "postselect_y", "postselect_z",
@@ -321,31 +332,22 @@ def cmd_estimate(args) -> int:
 
 def cmd_tomo(args) -> int:
     cfg = load_config(args.config)
-    probe = parse_probe(cfg)
-    sensor = parse_sensor(cfg, probe)
-    kind, source = parse_states(cfg)
-    if kind != "bloch":
+    probe, sensor, source, postselections, noise = parse_scenario(cfg)
+    if not isinstance(source, BlochVector):
         raise ConfigError("'tomo' expects a Bloch-vector state source")
-    with _config_errors("config field 'postselections'"):
-        postselections = [parse_postselection(v)
-                          for v in cfg.get("postselections", [])]
     if len(postselections) < 2:
         raise ConfigError("'tomo' needs at least two post-selections")
-    noise = parse_noise(cfg)
-
     calibration = estimation.Calibration(origin=(0.0, 0.0), scale=probe.g)
     observations = []
-    for p_index, postselection in enumerate(postselections):
-        with _config_errors(f"Bloch state at post-selection {p_index}"):
-            field = probefield.mixed_exact_field(probe, source, postselection)
-        image = _render_lit(field, sensor,
-                            f"Bloch state at post-selection {p_index}")
-        if noise is not None:
-            image = imaging.add_shot_noise(image, noise["photon_budget"],
-                                           noise["seed"], frame=p_index)
+    for _, p_index, _, shoot in _frames(
+            probefield.mixed_exact_field, probe, [source], postselections,
+            sensor, noise, "Bloch state at post-selection {p_index}"):
+        # the last plane lives until this one is drawn, so malloc keeps its
+        # pages for this one instead of returning them and faulting them in
+        image = shoot()
         zip_est = estimation.extract_zip(
             image, threshold_fraction=args.threshold_fraction)
-        observations.append((zip_est, calibration, postselection))
+        observations.append((zip_est, calibration, postselections[p_index]))
     result = estimation.reconstruct_mixed(observations)
     report = {
         "bloch": [result.bloch.x, result.bloch.y, result.bloch.z],
@@ -430,8 +432,7 @@ def cmd_centroid_check(args) -> int:
 
 def cmd_path(args) -> int:
     try:
-        states = (polarization.equator_path(args.steps) if args.kind == "equator"
-                  else polarization.infinity_path(args.steps))
+        states = polarization.PATHS[args.kind](args.steps)
     except ValueError as bad:
         raise ConfigError(str(bad)) from None
     lines = ["theta,phi,x,y,z"]
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_centroid_check)
 
     p_path = sub.add_parser("path", help="list preparation-path states as CSV")
-    p_path.add_argument("kind", choices=("equator", "infinity"))
+    p_path.add_argument("kind", choices=polarization.PATHS)
     p_path.add_argument("--steps", type=int, required=True)
     p_path.add_argument("--out", default=None)
     p_path.set_defaults(func=cmd_path)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .probefield import TruncationWarning, map_row_bands
+from .probefield import BLOCK_ROWS, TruncationWarning, map_row_bands
 
 
 class ImageFormatError(ValueError):
@@ -273,22 +273,16 @@ def checked_seed(value) -> int:
     return seed
 
 
-# Rows per shot-noise band.  Band b of frame f in run s draws from
-# Generator(SFC64(SeedSequence(s, spawn_key=(f, b)))), so the band height is
-# part of the output: changing it changes every noisy byte.
-_NOISE_ROWS = 64
-
-
 def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
                    frame: int = 0) -> IntensityImage:
     """Replace pixels by Poisson counts with expected total = photon_budget.
 
-    Frame `frame` of run `seed` draws on SeedSequence(seed,
-    spawn_key=(frame,)); that sequence is split into one SFC64 stream per
-    band of _NOISE_ROWS rows.  The bands are drawn in parallel on the shared
-    row-band pool (numpy's sampler releases the GIL), and the counts depend
-    only on (seed, frame, band), never on the number of workers.  Geometry
-    and upstream provenance are untouched.
+    Block b of BLOCK_ROWS rows of frame `frame` in run `seed` draws from
+    Generator(SFC64(SeedSequence(seed, spawn_key=(frame, b)))).  The blocks
+    are drawn in parallel on the shared row-band pool, whose runs are whole
+    blocks (numpy's sampler releases the GIL), and the counts depend only on
+    (seed, frame, block), never on the number of workers.  Geometry and
+    upstream provenance are untouched.
     """
     photon_budget = checked_photon_budget(photon_budget)
     seed = checked_seed(seed)
@@ -299,16 +293,15 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
     scale = photon_budget / total
     counts = np.empty(img.pixels.shape)
     streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(
-        -(-img.sensor.height // _NOISE_ROWS))
+        -(-img.sensor.height // BLOCK_ROWS))
 
     def draw(start, stop):
-        # each run scales its own bands into the output, then draws on them;
-        # runs start on multiples of 64 rows, so no band is split
-        for i in range(start, stop, _NOISE_ROWS):
-            rows = counts[i:i + _NOISE_ROWS]
-            np.multiply(img.pixels[i:i + _NOISE_ROWS], scale, out=rows)
+        # each run scales its own blocks into the output, then draws on them
+        for i in range(start, stop, BLOCK_ROWS):
+            rows = counts[i:i + BLOCK_ROWS]
+            np.multiply(img.pixels[i:i + BLOCK_ROWS], scale, out=rows)
             rows[...] = np.random.Generator(
-                np.random.SFC64(streams[i // _NOISE_ROWS])).poisson(rows)
+                np.random.SFC64(streams[i // BLOCK_ROWS])).poisson(rows)
 
     map_row_bands(draw, img.sensor.height)
     provenance = dict(img.provenance)
@@ -322,9 +315,6 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
 # ---------------------------------------------------------------------------
 
 _PGM_MAXVAL = 65535
-# Rows per float block of the PGM quantiser: 64 rows of a 1024-pixel frame
-# are 512 KiB, which stays in a core's L2 cache from divide to round to store.
-_QUANTIZE_ROWS = 64
 
 
 def _header_dict(img: IntensityImage, scale: float) -> dict:
@@ -399,9 +389,9 @@ def write_image(img: IntensityImage, path) -> None:
     read_image rejects, so an interrupted rewrite never passes for an image.
 
     The quantiser divides, rounds and stores in row bands on the shared
-    pool.  Each band's float block holds its share of _QUANTIZE_ROWS rows,
-    in proportion to the band's rows, so together they hold at most one
-    _QUANTIZE_ROWS block.
+    pool.  Each band's float block holds its share of BLOCK_ROWS rows, in
+    proportion to the band's rows, so together they hold at most one
+    block.
     """
     path = _graymap_path(path)
     peak = img.max_intensity()
@@ -411,8 +401,8 @@ def write_image(img: IntensityImage, path) -> None:
     quantized = np.empty(pixels.shape, dtype=">u2")
 
     def quantize(start, stop):
-        # each run's float block is its share of one _QUANTIZE_ROWS block
-        step = max(1, _QUANTIZE_ROWS * (stop - start) // img.sensor.height)
+        # each run's float block is its share of one BLOCK_ROWS block
+        step = max(1, BLOCK_ROWS * (stop - start) // img.sensor.height)
         block = np.empty((step, img.sensor.width))
         for i in range(start, stop, step):
             rows = pixels[i:min(i + step, stop)]

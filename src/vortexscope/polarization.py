@@ -200,6 +200,9 @@ def infinity_path(steps: int):
     return out
 
 
+PATHS = {"equator": equator_path, "infinity": infinity_path}
+
+
 # ---------------------------------------------------------------------------
 # Fidelity
 # ---------------------------------------------------------------------------

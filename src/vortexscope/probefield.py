@@ -80,9 +80,12 @@ class ProbeConfig:
                                * 2.0 ** (self.l + 1)) / self.w0 ** (self.l + 1)
 
 
-# Output rows per contraction block: 64 rows of a 1024-pixel frame are
-# 512 KiB, so the clamp finds each block still in a core's L2 cache.
-_BLOCK_ROWS = 64
+# Rows per block.  map_row_bands gives each worker a run of whole blocks;
+# the contraction, the quantiser and the shot-noise draw go a block at a
+# time (512 KiB of a 1024-pixel frame, which a core's L2 cache holds), and
+# each block draws noise from its own stream: changing this changes every
+# noisy byte.
+BLOCK_ROWS = 64
 BAND_THREAD_PREFIX = "vortexscope-band"
 _band_threads = None
 
@@ -110,14 +113,14 @@ os.register_at_fork(after_in_child=_forget_band_pool)
 
 def map_row_bands(function, rows: int) -> list:
     """[function(start, stop), ...] over rows 0..rows, one contiguous run of
-    whole _BLOCK_ROWS blocks per pool worker, in row order.  The calling
+    whole BLOCK_ROWS blocks per pool worker, in row order.  The calling
     thread takes the first run itself, so with one worker every row is
     handled inline and no thread starts.  Every run sees the caller's
     numpy floating-point error state."""
     pool = _band_pool()
-    blocks = -(-rows // _BLOCK_ROWS)
+    blocks = -(-rows // BLOCK_ROWS)
     runs = max(1, min(pool._max_workers, blocks))
-    cuts = [min(rows, blocks * k // runs * _BLOCK_ROWS)
+    cuts = [min(rows, blocks * k // runs * BLOCK_ROWS)
             for k in range(runs + 1)]
     errors = np.geterr()
 
@@ -140,7 +143,7 @@ def _intensity(b, y, w0):
     undershoots at an exact zero of the field.  Each element is the same sum
     of the same products for any y, so row chunks are bit-exact.
 
-    The contraction runs in _BLOCK_ROWS-row blocks, which `map_row_bands`
+    The contraction runs in BLOCK_ROWS-row blocks, which `map_row_bands`
     spreads over the pool; a 0-d grid is contracted inline."""
     y = np.asarray(y, dtype=float)
     gauss = np.exp(y * y * (-0.5 / w0 ** 2))
@@ -157,8 +160,8 @@ def _intensity(b, y, w0):
         np.maximum(part, 0.0, out=part)
 
     def band(start, stop):
-        for i in range(start, stop, _BLOCK_ROWS):
-            contract(slice(i, min(i + _BLOCK_ROWS, stop)))
+        for i in range(start, stop, BLOCK_ROWS):
+            contract(slice(i, min(i + BLOCK_ROWS, stop)))
 
     if out.ndim:
         map_row_bands(band, len(out))

@@ -12,15 +12,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vortexscope import imaging, probefield
+from vortexscope import probefield
 from vortexscope.estimation import extract_zip
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, add_shot_noise, fast_sensor,
                                  experiment_ccd, read_image, render, write_image)
 from vortexscope.polarization import BlochVector, QubitState
-from vortexscope.probefield import (ProbeConfig, TruncationWarning,
-                                    approx_field, exact_field, lg_field,
-                                    mixed_exact_field, quadrature_norm)
+from vortexscope.probefield import (BLOCK_ROWS, ProbeConfig,
+                                    TruncationWarning, approx_field,
+                                    exact_field, lg_field, mixed_exact_field,
+                                    quadrature_norm)
 
 W0 = 1.0
 PROBE = ProbeConfig(w0=W0, g=0.05)
@@ -209,7 +210,7 @@ def banded_reference(img, budget, seed, frame):
     """Serial draw of the documented scheme: band b of frame f in run s is
     Generator(SFC64(SeedSequence(s, spawn_key=(f, b)))).poisson."""
     mean = img.pixels * (budget / img.pixels.sum())
-    rows = imaging._NOISE_ROWS
+    rows = BLOCK_ROWS
     bands = [np.random.Generator(np.random.SFC64(
                  np.random.SeedSequence(seed, spawn_key=(frame, band))))
              .poisson(mean[start:start + rows])
@@ -272,28 +273,45 @@ def with_pool_width(monkeypatch, workers, call):
 class TestRowBands:
     # two full 64-row blocks and a partial one
     SENSOR = SensorConfig(pixel_pitch=8.0 / 128, width=128,
-                          height=2 * 64 + 37)
+                          height=2 * BLOCK_ROWS + 37)
+    # and four and a partial one, which three workers take in runs of one,
+    # two and two blocks
+    UNEVEN = SensorConfig(pixel_pitch=8.0 / 128, width=128,
+                          height=4 * BLOCK_ROWS + 37)
     FIELD = exact_field(PROBE, QubitState(0.7, 2.0),
                         BlochVector(0.0, np.sin(0.4), -np.cos(0.4)))
 
-    def render_and_write(self, path):
-        img = render(self.FIELD, self.SENSOR)
+    def render_and_write(self, path, sensor=SENSOR):
+        img = render(self.FIELD, sensor)
         write_image(img, path)
         return img, path.read_bytes()
+
+    def frame(self, path, sensor):
+        """Pixels, PGM bytes and shot-noise counts of one frame."""
+        img, payload = self.render_and_write(path, sensor)
+        return img, payload, add_shot_noise(img, 1e6, seed=11, frame=2).pixels
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_pool_width_does_not_change_pixels_or_payload(
             self, tmp_path, monkeypatch, workers):
-        default, payload = self.render_and_write(tmp_path / "default.pgm")
-        img, pooled = with_pool_width(
-            monkeypatch, workers,
-            lambda: self.render_and_write(tmp_path / "pooled.pgm"))
-        assert np.array_equal(img.pixels, default.pixels)
-        assert img.max_intensity() == default.pixels.max()
-        assert pooled == payload
-        scale = default.pixels.max() / 65535
-        expected = np.rint(default.pixels / scale).astype(">u2").tobytes()
-        assert payload[-len(expected):] == expected
+        def frames(name):
+            return [self.frame(tmp_path / f"{name}{sensor.height}.pgm", sensor)
+                    for sensor in (self.SENSOR, self.UNEVEN)]
+
+        defaults = frames("default")
+        pooled_frames = with_pool_width(monkeypatch, workers,
+                                        lambda: frames("pooled"))
+        for (default, payload, noisy), (img, pooled, pooled_noisy) in zip(
+                defaults, pooled_frames):
+            assert np.array_equal(img.pixels, default.pixels)
+            assert img.max_intensity() == default.pixels.max()
+            assert pooled == payload
+            scale = default.pixels.max() / 65535
+            expected = np.rint(default.pixels / scale).astype(">u2").tobytes()
+            assert payload[-len(expected):] == expected
+            assert np.array_equal(pooled_noisy, noisy)
+            assert np.array_equal(noisy,
+                                  banded_reference(default, 1e6, 11, 2))
 
     def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
         with ThreadPoolExecutor(1) as pool:
@@ -365,7 +383,7 @@ class TestImageIO:
         expected = np.rint(img.pixels / scale).astype(">u2").tobytes()
         assert path.read_bytes()[-len(expected):] == expected
 
-    @pytest.mark.parametrize("height", [37, 2 * imaging._QUANTIZE_ROWS + 37])
+    @pytest.mark.parametrize("height", [37, 2 * BLOCK_ROWS + 37])
     @pytest.mark.parametrize("layout", [np.ascontiguousarray,
                                         np.asfortranarray], ids=["C", "F"])
     def test_partial_row_block_payload(self, tmp_path, layout, height):
@@ -558,7 +576,7 @@ class TestFrameMemory:
         img = render(self.field, experiment_ccd())
         _, peak = traced_peak(lambda: write_image(img, tmp_path / "img.pgm"))
         payload = img.pixels.size * 2
-        block = imaging._QUANTIZE_ROWS * img.sensor.width * 8
+        block = BLOCK_ROWS * img.sensor.width * 8
         assert peak <= payload + block + self.MIB
 
     def test_read_and_extract_zip_stay_below_one_float_frame(self, tmp_path):
@@ -572,5 +590,5 @@ class TestFrameMemory:
         img = render(self.field, experiment_ccd())
         workers = probefield._band_pool()._max_workers
         noisy, peak = traced_peak(lambda: add_shot_noise(img, 1e6, seed=2))
-        band = imaging._NOISE_ROWS * img.sensor.width * 8
+        band = BLOCK_ROWS * img.sensor.width * 8
         assert peak <= noisy.pixels.nbytes + workers * band + self.MIB

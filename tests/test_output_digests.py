@@ -38,7 +38,7 @@ INPUTS = {
     "equator.json": {"probe": PROBE, "sensor": "fast",
                      "states": {"kind": "equator", "steps": 6},
                      "postselections": [TILTED]},
-    # the same post-selection twice: frame p of state i draws noise frame 2i + p
+    # one post-selection twice: frame p of state i draws noise frame 2i + p
     "infinity.json": {"probe": PROBE, "sensor": "fast",
                       "states": {"kind": "infinity", "steps": 4},
                       "postselections": [[0, 0, -1], [0, 0, -1]],
