@@ -121,8 +121,8 @@ def parse_states(cfg: dict):
             return BlochVector(real(source, "x"), real(source, "y"),
                                real(source, "z"))
         # a tuple compares by ==, so an unhashable kind reaches the error
-        if kind in tuple(polarization.PATHS):
-            return polarization.PATHS[kind](integer(source, "steps"))
+        if kind in polarization.PATHS:
+            return _path(kind, integer(source, "steps"))
     raise ConfigError(f"config field 'states.kind': unknown kind {kind!r}")
 
 
@@ -169,6 +169,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _path(kind: str, steps: int):
+    """The states of a preparation path.  `polarization.<kind>_path` is
+    looked up at call time, so a replaced module attribute is the one run."""
+    return getattr(polarization, f"{kind}_path")(steps)
+
+
 def _frames(build, probe, sources, postselections, sensor, noise, subject):
     """Yield (index, p_index, field, shoot) for each source and, under it,
     each post-selection; the field is build(probe, source, postselection),
@@ -177,7 +183,11 @@ def _frames(build, probe, sources, postselections, sensor, noise, subject):
     draws its counts on frame index * len(postselections) + p_index.  An
     unlit or non-finite frame is a ConfigError naming the subject and g_mm
     (a vortex displaced off the sensor, or the weak-limit Gaussian of a
-    large complex shift)."""
+    large complex shift).  The last frame shot is held until the next
+    frame's own buffer is made (its render, or with noise its draw), so a
+    caller that drops the frame once done hands malloc pages of that size
+    to reuse: freed any earlier, a noisy frame's pages go back to the OS."""
+    held = None
     for index, source in enumerate(sources):
         for p_index, postselection in enumerate(postselections):
             named = subject.format(index=index, p_index=p_index)
@@ -185,6 +195,9 @@ def _frames(build, probe, sources, postselections, sensor, noise, subject):
                 field = build(probe, source, postselection)
 
             def shoot():
+                nonlocal held
+                if noise is None:
+                    held = None
                 try:
                     image = imaging.render(field, sensor)
                     fault = None if image.max_intensity() > 0 else "no light"
@@ -193,11 +206,13 @@ def _frames(build, probe, sources, postselections, sensor, noise, subject):
                 if fault:
                     raise ConfigError(f"{named}: the frame renders {fault} on "
                                       f"the sensor (g_mm = {probe.g!r})")
-                if noise is None:
-                    return image
-                return imaging.add_shot_noise(
-                    image, noise["photon_budget"], noise["seed"],
-                    frame=index * len(postselections) + p_index)
+                if noise is not None:
+                    held = None
+                    image = imaging.add_shot_noise(
+                        image, noise["photon_budget"], noise["seed"],
+                        frame=index * len(postselections) + p_index)
+                held = image
+                return image
             yield index, p_index, field, shoot
 
 
@@ -264,6 +279,7 @@ def cmd_simulate(args) -> int:
         image.provenance["config"] = cfg
         name = f"img_{index:04d}_{p_index}.pgm"
         imaging.write_image(image, out_dir / name)
+        del image  # _frames holds it until the next frame's buffer is made
         b = state.bloch()
         rows.append((name, index, state.theta, state.phi, b.x, b.y, b.z,
                      postselection.x, postselection.y, postselection.z,
@@ -432,7 +448,7 @@ def cmd_centroid_check(args) -> int:
 
 def cmd_path(args) -> int:
     try:
-        states = polarization.PATHS[args.kind](args.steps)
+        states = _path(args.kind, args.steps)
     except ValueError as bad:
         raise ConfigError(str(bad)) from None
     lines = ["theta,phi,x,y,z"]

@@ -123,16 +123,19 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     pixels than its dark runs from the left and to the right edge; those
     runs reach the border along the row, so every interior region lies in
     the inner rows.  The band adds one row above and below them, and a band
-    region touching its first or last row joins the exterior.  Per-row
-    counts come from the sorted dark-pixel indices, the left run from
-    argmin, and the dark pixels past the left run are all in the right run
-    iff the first of them sits that many columns from the right edge.
+    region touching its first or last row joins the exterior.  The row
+    structure comes from the dark mask: per-row counts from one sum over its
+    bytes (into uint16 while a row is narrower than 2**16 pixels), the left
+    run from argmin, and the right run from argmin over the reversed rows
+    that hold dark pixels past their left run.  A right run is no longer
+    than those pixels, so only that many columns from the right are read.
 
     Region sizes come from one bincount over the labels of the band's dark
-    pixels between each row's edge runs, held in a band-sized label array.
-    An edge-run pixel belongs to a region that the border rule drops anyway,
-    so no interior size, winner or candidate changes.  The average runs over
-    the winner's pixels only, through the 1-D sensor axes.
+    pixels between each row's edge runs, held in a band-sized label array;
+    the dark-pixel indices are taken over the band rows only.  An edge-run
+    pixel belongs to a region that the border rule drops anyway, so no
+    interior size, winner or candidate changes.  The average runs over the
+    winner's pixels only, through the 1-D sensor axes.
     """
     if not 0.0 < threshold_fraction < 0.5:
         raise ValueError("threshold_fraction must lie in (0, 0.5)")
@@ -148,31 +151,41 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
         limit += (limit + 1) * scale <= threshold
         limit -= limit * scale > threshold
     dark = stored <= limit
-    flat = np.flatnonzero(dark)
-    if flat.size == 0:
-        raise NoVortexError("no pixels below threshold")
     height, width = dark.shape
-    starts = np.searchsorted(flat, np.arange(height + 1) * width)
-    per_row = np.diff(starts)
+    per_row = np.add.reduce(dark.view(np.uint8), axis=1,
+                            dtype=np.uint16 if width < 2 ** 16 else np.intp)
+    if not per_row.any():
+        raise NoVortexError("no pixels below threshold")
     # dark run from the left edge: argmin reads 0 on an all-dark row
     left = np.where(per_row == width, width, dark.argmin(axis=1))
     rest = per_row - left
+    # dark run from the right edge, 0 where no dark pixel lies past the left
+    # run.  It holds at most the rest dark pixels, so argmin reads only the
+    # last rest.max() columns, reversed; where it stops on a dark pixel, the
+    # window is dark to its end and the run is all rest pixels
     beyond = np.flatnonzero(rest)
-    first = flat[starts[beyond] + left[beyond]]
-    inner = beyond[first != (beyond + 1) * width - rest[beyond]]
+    right = np.zeros_like(left)
+    if beyond.size:
+        span = rest[beyond]
+        tail = dark[beyond, :-span.max() - 1:-1]
+        run = tail.argmin(axis=1)
+        right[beyond] = np.where(tail[np.arange(beyond.size), run], span, run)
+    inner = beyond[rest[beyond] > right[beyond]]
     if inner.size == 0:
         raise NoVortexError("no interior low-intensity component found")
     top, stop = max(inner[0] - 1, 0), min(inner[-1] + 2, height)
-    band = np.empty((stop - top, width), np.int32)
-    count = ndimage.label(dark[top:stop], output=band)
+    dark = dark[top:stop]
+    band = np.empty(dark.shape, np.int32)
+    count = ndimage.label(dark, output=band)
     # the band's dark pixels off the edge runs, in ascending order: row r
     # holds flat[lo[r]:lo[r] + lengths[r]]; lit label 0 has size 0
-    right = dark[top:stop, ::-1].argmin(axis=1)  # 0 on an all-dark row
-    lo = starts[top:stop] + left[top:stop]
-    lengths = starts[top + 1:stop + 1] - right - lo
+    per_row, left, right = per_row[top:stop], left[top:stop], right[top:stop]
+    lo = np.cumsum(per_row, dtype=np.intp) - per_row + left
+    lengths = per_row - left - right
     ends = np.cumsum(lengths)
+    flat = np.flatnonzero(dark)
     flat = flat[np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)]
-    flat_labels = band.ravel()[flat - top * width]
+    flat_labels = band.ravel()[flat]
     sizes = np.bincount(flat_labels, minlength=count + 1)
     for edge in (band[0], band[-1], band[:, 0], band[:, -1]):
         sizes[edge] = 0
@@ -180,7 +193,8 @@ def extract_zip(img: IntensityImage, threshold_fraction: float = 0.01) -> ZipEst
     if best_size == 0:
         raise NoVortexError("no interior low-intensity component found")
     ties = np.flatnonzero(sizes == best_size)[::-1]
-    members = [np.divmod(flat[flat_labels == k], width) for k in ties]
+    members = [np.divmod(flat[flat_labels == k] + top * width, width)
+               for k in ties]
     xs, ys = img.sensor.axes()
     if len(ties) > 1:
         candidates = [(float(xs[cols].mean()), float(ys[rows].mean()))

@@ -200,7 +200,8 @@ def infinity_path(steps: int):
     return out
 
 
-PATHS = {"equator": equator_path, "infinity": infinity_path}
+# kinds of preparation path; kind k is the function `<k>_path` above
+PATHS = ("equator", "infinity")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from vortexscope.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_ESTIMATION,
-                             EXIT_OK, build_parser, main)
+                             EXIT_OK, build_parser, main, parse_states)
 from vortexscope.estimation import Calibration
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  read_image)
@@ -100,6 +101,22 @@ class TestPath:
         assert main(["path", "equator", "--steps", "8", "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("theta,phi")
 
+    def test_path_functions_are_called_through_the_module(self, monkeypatch):
+        # the benchmark's tracer times path calls by replacing these module
+        # attributes, so the command line must look them up at call time
+        from vortexscope import polarization
+        equator_path, calls = polarization.equator_path, []
+
+        def spy(steps):
+            calls.append(steps)
+            return equator_path(steps)
+
+        monkeypatch.setattr(polarization, "equator_path", spy)
+        states = parse_states({"states": {"kind": "equator", "steps": 3}})
+        assert len(states) == 3
+        assert main(["path", "equator", "--steps", "4"]) == EXIT_OK
+        assert calls == [3, 4]
+
 
 class TestSimulate:
     def test_south_pole_zip_at_origin(self, tmp_path):
@@ -123,6 +140,24 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
         for name in ("manifest.csv", "img_0000_0.pgm", "img_0002_0.pgm"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("noise, frames", [
+        (None, 1.75), ({"photon_budget": 1e6, "seed": 3}, 3)],
+        ids=["clean", "noisy"])
+    def test_frame_is_freed_once_written(self, tmp_path, noise, frames):
+        # a frame kept through the next one's render and noise draw would
+        # add a whole float frame to the peak
+        cfg = base_config(tmp_path, states={"kind": "equator", "steps": 3},
+                          noise=noise)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < frames * 256 * 256 * np.dtype(float).itemsize
 
     def test_adjacent_seeds_draw_distinct_noise(self, tmp_path):
         cfg = base_config(tmp_path, postselections=[[0, 0, -1], [0, 0, -1]],

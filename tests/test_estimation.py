@@ -241,15 +241,41 @@ def test_clean_ccd_frame_labels_only_the_core_rows(monkeypatch):
     assert masks[0][0] < 0.1 * sensor.height
 
 
+def test_clean_ccd_frame_indexes_only_the_band_rows(monkeypatch):
+    # the dark corners hold almost every dark pixel of the frame; only the
+    # band's dark pixels are listed, and the row structure comes from the mask
+    sensor = experiment_ccd()
+    img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), sensor)
+    flatnonzero = np.flatnonzero
+    shapes = []
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", spy)
+    extract_zip(img, threshold_fraction=0.01)
+    monkeypatch.undo()
+    band_rows = 0.1 * sensor.height
+    assert any(len(shape) == 2 for shape in shapes)
+    assert all(shape[0] < band_rows for shape in shapes if len(shape) == 2)
+    # 1-D inputs are per-row or per-label vectors, never a frame's pixels
+    assert all(np.prod(shape) < band_rows * sensor.width for shape in shapes)
+
+
 def test_clean_ccd_frame_allocates_less_than_a_label_frame():
     img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), experiment_ccd())
+    dark = np.count_nonzero(img.pixels <= 0.01 * img.max_intensity())
     tracemalloc.start()
     try:
         extract_zip(img, threshold_fraction=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < img.pixels.size * np.dtype(np.int32).itemsize
+    # below the bool dark mask plus an index of every dark pixel, so a
+    # whole-frame dark-pixel index list does not fit
+    mask = img.pixels.size * np.dtype(bool).itemsize
+    assert peak < mask + dark * np.dtype(np.intp).itemsize
 
 
 class TestEstimateState:

@@ -401,6 +401,23 @@ def test_extract_zip_band_edge_cases(dark, expected):
         assert outcome[0] is expected
 
 
+@pytest.mark.parametrize("width", [2 ** 16 - 1, 2 ** 16])
+def test_extract_zip_counts_rows_of_any_width(width):
+    """Row counts of 2**16 and more need a wider accumulator than uint16:
+    an all-dark row inside the band, a row with only a right run, a hole
+    beside each and the winning hole below them."""
+    dark = np.zeros((16, width), bool)
+    dark[3, 100:103] = True
+    dark[4, 50:52] = True  # joins the all-dark row below
+    dark[5] = True
+    dark[6, -500:] = True
+    dark[7, width // 2:width // 2 + 4] = True
+    dark[9:11, 2000:2005] = True
+    dark[12, :7] = dark[12, -9:] = dark[12, 300:302] = True
+    outcome = assert_matches_whole_frame(masked_frame(dark))
+    assert outcome[1] == 10
+
+
 # ---------------------------------------------------------------------------
 # Count images against their float view
 # ---------------------------------------------------------------------------
