@@ -176,44 +176,37 @@ def _path(kind: str, steps: int):
 
 
 def _frames(build, probe, sources, postselections, sensor, noise, subject):
-    """Yield (index, p_index, field, shoot) for each source and, under it,
-    each post-selection; the field is build(probe, source, postselection),
-    made under the subject `subject.format(index=, p_index=)`.  shoot(),
-    called before the next frame is drawn, renders it and, with noise,
-    draws its counts on frame index * len(postselections) + p_index.  An
-    unlit or non-finite frame is a ConfigError naming the subject and g_mm
-    (a vortex displaced off the sensor, or the weak-limit Gaussian of a
-    large complex shift).  The last frame shot is held until the next
-    frame's own buffer is made (its render, or with noise its draw), so a
-    caller that drops the frame once done hands malloc pages of that size
-    to reuse: freed any earlier, a noisy frame's pages go back to the OS."""
-    held = None
+    """Yield (index, p_index, field, image) for each source and, under it,
+    each post-selection.  The field is build(probe, source, postselection),
+    made under the subject `subject.format(index=, p_index=)`; the image is
+    its rendered frame, with noise drawn on frame
+    index * len(postselections) + p_index.  An unlit or non-finite frame is
+    a ConfigError naming the subject and g_mm (a vortex displaced off the
+    sensor, or the weak-limit Gaussian of a large complex shift).  Callers
+    keep no frame past their loop body, so this loop alone holds the last
+    frame: a clean one until the next render starts, a noisy one until the
+    next render ends, before its draw.  malloc then reuses the frame's
+    pages; freed any earlier, a noisy frame's pages go back to the OS."""
     for index, source in enumerate(sources):
         for p_index, postselection in enumerate(postselections):
             named = subject.format(index=index, p_index=p_index)
             with _config_errors(named):
                 field = build(probe, source, postselection)
-
-            def shoot():
-                nonlocal held
-                if noise is None:
-                    held = None
-                try:
-                    image = imaging.render(field, sensor)
-                    fault = None if image.max_intensity() > 0 else "no light"
-                except imaging.ImageFormatError:
-                    fault = "non-finite intensities"
-                if fault:
-                    raise ConfigError(f"{named}: the frame renders {fault} on "
-                                      f"the sensor (g_mm = {probe.g!r})")
-                if noise is not None:
-                    held = None
-                    image = imaging.add_shot_noise(
-                        image, noise["photon_budget"], noise["seed"],
-                        frame=index * len(postselections) + p_index)
-                held = image
-                return image
-            yield index, p_index, field, shoot
+            if noise is None:
+                image = None  # a noisy frame goes once the render returns
+            try:
+                image = imaging.render(field, sensor)
+                fault = None if image.max_intensity() > 0 else "no light"
+            except imaging.ImageFormatError:
+                fault = "non-finite intensities"
+            if fault:
+                raise ConfigError(f"{named}: the frame renders {fault} on "
+                                  f"the sensor (g_mm = {probe.g!r})")
+            if noise is not None:
+                image = imaging.add_shot_noise(
+                    image, noise["photon_budget"], noise["seed"],
+                    frame=index * len(postselections) + p_index)
+            yield index, p_index, field, image
 
 
 def _write_text(path, content: str) -> None:
@@ -258,7 +251,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for index, p_index, field, shoot in _frames(
+    for index, p_index, field, image in _frames(
             build, probe, states, postselections, sensor, noise,
             "state {index}, post-selection {p_index}"):
         state, postselection = states[index], postselections[p_index]
@@ -272,14 +265,13 @@ def cmd_simulate(args) -> int:
                   f"{MARGIN_WARN_THRESHOLD} for state {index}; the "
                   "displaced-vortex reading is unreliable",
                   file=sys.stderr)
-        image = shoot()
         image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
         image.provenance["postselection"] = [postselection.x, postselection.y,
                                              postselection.z]
         image.provenance["config"] = cfg
         name = f"img_{index:04d}_{p_index}.pgm"
         imaging.write_image(image, out_dir / name)
-        del image  # _frames holds it until the next frame's buffer is made
+        del image  # _frames alone holds it until its release point
         b = state.bloch()
         rows.append((name, index, state.theta, state.phi, b.x, b.y, b.z,
                      postselection.x, postselection.y, postselection.z,
@@ -355,14 +347,12 @@ def cmd_tomo(args) -> int:
         raise ConfigError("'tomo' needs at least two post-selections")
     calibration = estimation.Calibration(origin=(0.0, 0.0), scale=probe.g)
     observations = []
-    for _, p_index, _, shoot in _frames(
+    for _, p_index, _, image in _frames(
             probefield.mixed_exact_field, probe, [source], postselections,
             sensor, noise, "Bloch state at post-selection {p_index}"):
-        # the last plane lives until this one is drawn, so malloc keeps its
-        # pages for this one instead of returning them and faulting them in
-        image = shoot()
         zip_est = estimation.extract_zip(
             image, threshold_fraction=args.threshold_fraction)
+        del image  # keep only the estimate; _frames holds the plane
         observations.append((zip_est, calibration, postselections[p_index]))
     result = estimation.reconstruct_mixed(observations)
     report = {

@@ -6,17 +6,19 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from vortexscope import cli, imaging
 from vortexscope.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_ESTIMATION,
                              EXIT_OK, build_parser, main, parse_states)
 from vortexscope.estimation import Calibration
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
-                                 read_image)
+                                 SensorConfig, read_image)
 from vortexscope.polarization import QubitState, infinity_path
 from vortexscope.probefield import (BAND_THREAD_PREFIX, ProbeConfig,
                                     TruncationWarning, exact_field)
@@ -464,7 +466,7 @@ class TestEstimate:
 
 class TestTomo:
     def tomo_config(self, tmp_path, bloch=(0.3, -0.2, 0.4), planes=None,
-                    pixels=512):
+                    pixels=512, noise=None):
         planes = planes or [[0, 0, -1], [0, 0, 1], [0, 1, 0], [0, -1, 0]]
         return base_config(
             tmp_path,
@@ -472,7 +474,7 @@ class TestTomo:
                     "width": pixels, "height": pixels},
             states={"kind": "bloch", "x": bloch[0], "y": bloch[1],
                     "z": bloch[2]},
-            postselections=planes)
+            postselections=planes, noise=noise)
 
     def read_report(self, capsys):
         return json.loads(capsys.readouterr().out)
@@ -509,6 +511,21 @@ class TestTomo:
     def test_needs_two_planes(self, tmp_path):
         cfg = self.tomo_config(tmp_path, planes=[[0, 0, -1]])
         assert main(["tomo", "--config", cfg]) == EXIT_CONFIG
+
+    def test_plane_is_freed_once_read(self, tmp_path):
+        # a plane kept through the next one's render and noise draw would
+        # add a whole float frame to the peak
+        cfg = self.tomo_config(tmp_path, pixels=256,
+                               noise={"photon_budget": 1e5, "seed": 4})
+        tracemalloc.start()
+        try:
+            code = main(["tomo", "--config", cfg,
+                         "--threshold-fraction", "0.1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 3.25 * 256 * 256 * np.dtype(float).itemsize
 
 
 class BodyWriteFails:
@@ -774,6 +791,42 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--seed", "-1"]) == EXIT_CONFIG
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise, expected", [
+    (None, [("render", False)] * 3),
+    ({"photon_budget": 1e5, "seed": 2},
+     [("render", True), ("draw", False)] * 3),
+], ids=["clean", "noisy"])
+def test_frames_release_the_last_frame_at_one_point(monkeypatch, noise,
+                                                     expected):
+    # the loop body drops each frame, so the frame loop alone decides when
+    # it goes: a clean one before the next render, a noisy one after the
+    # next render and before its draw
+    last = None  # weak reference to the frame yielded before
+    seen = []
+
+    def watching(name, function):
+        def wrapper(*args, **kwargs):
+            if last is not None:
+                seen.append((name, last() is not None))
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(imaging, "render",
+                        watching("render", imaging.render))
+    monkeypatch.setattr(imaging, "add_shot_noise",
+                        watching("draw", imaging.add_shot_noise))
+    states = [QubitState(np.pi / 2, 0.0), QubitState(1.0, 1.3)]
+    postselections = [cli.parse_postselection(v)
+                      for v in ([0, 0, -1], [0, 1, 0])]
+    for _, _, _, image in cli._frames(
+            exact_field, ProbeConfig(w0=1.0, g=0.05), states,
+            postselections, SensorConfig(8.0 / 64, 64, 64), noise,
+            "state {index}, post-selection {p_index}"):
+        last = weakref.ref(image)
+        del image
+    assert seen == expected
 
 
 def test_parser_is_built_once():
