@@ -76,6 +76,8 @@ CALLS = {
                         "0,0,-1", "--out", "approx.csv", *frames("approx", 3)],
     "tomo": ["tomo", "--config", "mixed.json", "--out", "tomo.json"],
     "path": ["path", "infinity", "--steps", "8", "--out", "path.csv"],
+    "path equator": ["path", "equator", "--steps", "8",
+                     "--out", "path-equator.csv"],
     "centroid-check": ["centroid-check"],
 }
 
