@@ -5,9 +5,9 @@ reconstruction from several post-selections.
 """
 
 from .polarization import (BlochVector, JonesOperator, QubitState,
-                           apply_jones, apply_waveplate, equator_path,
-                           fidelity, half_wave_plate, infinity_path,
-                           quarter_wave_plate, wave_plate)
+                           apply_jones, equator_path, fidelity,
+                           half_wave_plate, infinity_path, quarter_wave_plate,
+                           wave_plate)
 from .weakvalue import (SOUTH_POLE, PoleStateError, WeakValue,
                         stereographic_invert, stereographic_project,
                         weak_condition_margin, weak_value_mixed,

@@ -138,13 +138,16 @@ def parse_noise(cfg: dict):
 
 def parse_scenario(cfg: dict):
     """(probe, sensor, source, postselections, noise) of a scenario config,
-    parsed in that order; one post-selection, |1>, by default."""
+    parsed in that order; a non-empty post-selection list, [|1>] by default."""
     probe = parse_probe(cfg)
     sensor = parse_sensor(cfg, probe)
     source = parse_states(cfg)
     with _config_errors("config field 'postselections'"):
-        postselections = [parse_postselection(v)
-                          for v in cfg.get("postselections", [[0, 0, -1]])]
+        values = cfg.get("postselections", [[0, 0, -1]])
+        if not (isinstance(values, list) and values):
+            raise ValueError(f"'postselections' must be a non-empty list "
+                             f"(got {values!r})")
+        postselections = [parse_postselection(v) for v in values]
     return probe, sensor, source, postselections, parse_noise(cfg)
 
 
@@ -272,8 +275,7 @@ def cmd_simulate(args) -> int:
         name = f"img_{index:04d}_{p_index}.pgm"
         imaging.write_image(image, out_dir / name)
         del image  # _frames alone holds it until its release point
-        b = state.bloch()
-        rows.append((name, index, state.theta, state.phi, b.x, b.y, b.z,
+        rows.append((name, index, *polarization.state_csv_row(state),
                      postselection.x, postselection.y, postselection.z,
                      probe.w0, probe.g, probe.l, mode, margin))
     _write_csv(out_dir / "manifest.csv",

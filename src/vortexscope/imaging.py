@@ -20,7 +20,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -70,9 +69,9 @@ def experiment_ccd() -> SensorConfig:
     return SensorConfig(pixel_pitch=6.45e-3, width=1024, height=1024)
 
 
-def fast_sensor(w0: float, pixels: int = 512, extent_factor: float = 8.0) -> SensorConfig:
-    """Fast test preset covering extent_factor * w0 with a square grid."""
-    return SensorConfig(pixel_pitch=extent_factor * w0 / pixels,
+def fast_sensor(w0: float, pixels: int = 512) -> SensorConfig:
+    """Fast test preset covering 8 w0 with a square grid."""
+    return SensorConfig(pixel_pitch=8.0 * w0 / pixels,
                         width=pixels, height=pixels)
 
 
@@ -148,29 +147,22 @@ class IntensityImage:
         return self._peak
 
 
-def render(field, sensor: SensorConfig,
-           rows_per_chunk: Optional[int] = None) -> IntensityImage:
+def render(field, sensor: SensorConfig) -> IntensityImage:
     """Sample |field|^2 at pixel centers.
 
-    The field is evaluated on the open grid (xs[None, :], ys[:, None]), which
-    broadcasts to the full pixel array.  `rows_per_chunk` partitions the
-    evaluation by scanlines; results are bit-identical for any partitioning
-    because each pixel is the same product of the same 1-D factors.
+    The field is evaluated in one call on the open grid (xs[None, :],
+    ys[:, None]), which broadcasts to the full pixel array.  Each pixel is
+    the same product of the same 1-D factors whatever rows a call spans, so
+    any row slice of the frame equals the same call on those rows alone.
     """
     xs, ys = sensor.axes()
-    x = xs[None, :]
     # A term displaced beyond the float range squares its offset to inf, so
     # its Gaussian gives the 0 it would underflow to anyway; a complex shift
     # can instead give inf or NaN, which IntensityImage refuses.  The
     # refusal, not a numpy warning, reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows_per_chunk is None:
-            pixels = np.asarray(field.intensity(x, ys[:, None]), dtype=float)
-        else:
-            chunks = [np.asarray(field.intensity(
-                          x, ys[i:i + rows_per_chunk, None]), dtype=float)
-                      for i in range(0, sensor.height, rows_per_chunk)]
-            pixels = np.concatenate(chunks, axis=0)
+        pixels = np.asarray(field.intensity(xs[None, :], ys[:, None]),
+                            dtype=float)
 
     provenance = {
         "mode": getattr(field, "description", "unknown"),

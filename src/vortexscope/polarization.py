@@ -85,9 +85,9 @@ class BlochVector:
     def norm(self) -> float:
         return float(np.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2))
 
-    def to_state(self, tol: float = 1e-6) -> QubitState:
+    def to_state(self) -> QubitState:
         """Convert a unit vector back to (theta, phi); errors if mixed."""
-        if abs(self.norm() - 1.0) > tol:
+        if abs(self.norm() - 1.0) > 1e-6:
             raise ValueError("only unit Bloch vectors correspond to pure states")
         # arctan2 keeps every digit of theta next to the z poles
         theta = 0.5 * np.arctan2(np.hypot(self.x, self.y), self.z)
@@ -151,17 +151,6 @@ def apply_jones(op: JonesOperator, state: QubitState) -> QubitState:
     return QubitState.from_amplitudes(out[0], out[1])
 
 
-def apply_waveplate(state: QubitState, plate: str, angle: float) -> QubitState:
-    """Send a state through a half- or quarter-wave plate at `angle`."""
-    if plate == "half":
-        op = half_wave_plate(angle)
-    elif plate == "quarter":
-        op = quarter_wave_plate(angle)
-    else:
-        raise ValueError(f"plate must be 'half' or 'quarter', got {plate!r}")
-    return apply_jones(op, state)
-
-
 H_STATE = QubitState(np.pi / 4, 0.0)
 
 
@@ -178,7 +167,7 @@ def equator_path(steps: int):
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    return [apply_waveplate(H_STATE, "half", k * (np.pi / 2) / steps)
+    return [apply_jones(half_wave_plate(k * (np.pi / 2) / steps), H_STATE)
             for k in range(steps)]
 
 

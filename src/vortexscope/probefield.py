@@ -223,8 +223,6 @@ class ComplexField:
             out = out * y + coeff
         return out * np.exp(y * y * (-0.25 / self.probe.w0 ** 2))
 
-    __call__ = amplitude
-
     def intensity(self, x, y):
         return _intensity(self.intensity_coefficients(x), y, self.probe.w0)
 

@@ -739,6 +739,10 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
     ("tomo", {"postselections": [[0, 0, -1], [0, float("inf"), 0]]}, [],
      "'postselections'"),
     ("simulate", {"postselections": 5}, [], "'postselections'"),
+    ("simulate", {"postselections": []}, [],
+     "'postselections' must be a non-empty list"),
+    ("simulate", {"postselections": "abc"}, [],
+     "'postselections' must be a non-empty list"),
     ("simulate", {"states": {"kind": "explicit", "theta": 0.0, "phi": 0.0}},
      ["--mode", "approx"], "state 0, post-selection 0"),
     ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2},
@@ -764,6 +768,7 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
      "Bloch state at post-selection 0"),
 ], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
         "tomo-inf-postselection", "postselections-not-a-list",
+        "postselections-empty", "postselections-a-string",
         "approx-at-pole", "exact-with-l2", "steps-not-a-number",
         "fractional-steps", "fractional-l", "whole-float-l", "fractional-width",
         "string-height",

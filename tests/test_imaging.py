@@ -76,7 +76,8 @@ class TestRender:
 
     def test_total_intensity_matches_quadrature_norm(self):
         field = exact_field(PROBE, QubitState(0.9, 1.0))
-        sensor = fast_sensor(W0, pixels=1024, extent_factor=16.0)
+        sensor = SensorConfig(pixel_pitch=16.0 * W0 / 1024, width=1024,
+                              height=1024)
         img = render(field, sensor)
         total = img.pixels.sum() * sensor.pixel_pitch ** 2
         assert total == pytest.approx(quadrature_norm(field, 1024), abs=1e-4)
@@ -85,9 +86,11 @@ class TestRender:
         field = exact_field(PROBE, QubitState(0.7, 2.0))
         sensor = fast_sensor(W0, pixels=128)
         whole = render(field, sensor).pixels
-        for chunk in (1, 5, 32, 128):
-            parts = render(field, sensor, rows_per_chunk=chunk).pixels
-            assert np.array_equal(whole, parts)
+        xs, ys = sensor.axes()
+        for k in (1, 5, 32, 128):
+            for i in range(0, sensor.height, k):
+                rows = field.intensity(xs[None, :], ys[i:i + k, None])
+                assert np.array_equal(whole[i:i + k], rows)
 
     @pytest.mark.parametrize("make", [
         lambda: exact_field(PROBE, QubitState(0.7, 2.0),
@@ -107,7 +110,8 @@ class TestRender:
         lambda: exact_field(PROBE, QubitState(0.7, 2.0)),
         lambda: mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4)),
     ], ids=["exact", "mixed"])
-    @pytest.mark.parametrize("chunk, calls", [(None, 1), (5, 26), (128, 1)])
+    # no row chunks: one call spanning the whole frame
+    @pytest.mark.parametrize("chunk, calls", [(None, 1)])
     def test_one_intensity_call_per_chunk(self, make, chunk, calls):
         field = make()
 
@@ -122,8 +126,8 @@ class TestRender:
                 return field.intensity(x, y)
 
         counting = Counting()
-        render(counting, fast_sensor(W0, pixels=128), rows_per_chunk=chunk)
-        assert len(counting.shapes) == calls
+        render(counting, fast_sensor(W0, pixels=128))
+        assert counting.shapes == [(128, 1)] * calls
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_pixel_on_weak_limit_zero_is_nonnegative(self, l):

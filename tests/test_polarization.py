@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from vortexscope.polarization import (BlochVector, QubitState, apply_jones,
-                                      apply_waveplate, equator_path, fidelity,
-                                      half_wave_plate, infinity_path,
-                                      quarter_wave_plate, state_csv_row,
-                                      wave_plate)
+                                      equator_path, fidelity, half_wave_plate,
+                                      infinity_path, quarter_wave_plate,
+                                      state_csv_row, wave_plate)
 
 # Independent Jones oracle: explicit 2x2 arithmetic in the linear basis,
 # converted with the basis change fixed by |H> = (|0>+|1>)/sqrt(2).
@@ -98,25 +97,21 @@ class TestWavePlates:
     def test_quarter_at_45_gives_circular(self):
         # matrix-multiplication oracle fixes the handedness
         oracle = bloch_of_amplitudes(oracle_plate_on_h(np.pi / 2, np.pi / 4))
-        out = apply_waveplate(QubitState(np.pi / 4, 0), "quarter", np.pi / 4)
+        out = apply_jones(quarter_wave_plate(np.pi / 4), QubitState(np.pi / 4, 0))
         b = out.bloch()
         assert np.allclose([b.x, b.y, b.z], oracle, atol=1e-12)
         assert b.z == pytest.approx(-1.0, abs=1e-12)
 
     def test_half_at_22p5_gives_diagonal(self):
         oracle = bloch_of_amplitudes(oracle_plate_on_h(np.pi, np.pi / 8))
-        out = apply_waveplate(QubitState(np.pi / 4, 0), "half", np.pi / 8)
+        out = apply_jones(half_wave_plate(np.pi / 8), QubitState(np.pi / 4, 0))
         b = out.bloch()
         assert np.allclose([b.x, b.y, b.z], oracle, atol=1e-12)
         assert abs(abs(b.y) - 1.0) < 1e-12 and abs(b.z) < 1e-12
 
     def test_half_at_zero_fixes_h(self):
-        out = apply_waveplate(QubitState(np.pi / 4, 0), "half", 0.0)
+        out = apply_jones(half_wave_plate(0.0), QubitState(np.pi / 4, 0))
         assert fidelity(out, QubitState(np.pi / 4, 0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_plate_kind(self):
-        with pytest.raises(ValueError):
-            apply_waveplate(QubitState(0.3, 0), "third", 0.0)
 
     def test_unitarity(self, rng):
         for _ in range(25):
@@ -126,8 +121,9 @@ class TestWavePlates:
     def test_composition_preserves_norm(self, rng):
         state = QubitState(0.9, 2.2)
         for _ in range(5):
-            state = apply_waveplate(state, "quarter", rng.uniform(0, np.pi))
-            state = apply_waveplate(state, "half", rng.uniform(0, np.pi))
+            state = apply_jones(quarter_wave_plate(rng.uniform(0, np.pi)),
+                                state)
+            state = apply_jones(half_wave_plate(rng.uniform(0, np.pi)), state)
         assert abs(np.vdot(state.amplitudes(), state.amplitudes()) - 1) < 1e-12
 
 
@@ -148,7 +144,7 @@ class TestEquatorPath:
 
     def test_closure_when_plate_wraps(self):
         states = equator_path(36)
-        wrapped = apply_waveplate(QubitState(np.pi / 4, 0), "half", np.pi / 2)
+        wrapped = apply_jones(half_wave_plate(np.pi / 2), QubitState(np.pi / 4, 0))
         assert fidelity(states[0], wrapped) == pytest.approx(1.0, abs=1e-10)
 
     def test_too_few_steps(self):
@@ -160,10 +156,10 @@ class TestInfinityPath:
     def test_closed_under_plate_period(self):
         fixed = quarter_wave_plate(np.pi / 4)
         for angle in (0.3, 1.1):
-            a = apply_jones(fixed, apply_waveplate(QubitState(np.pi / 4, 0),
-                                                   "quarter", angle))
-            b = apply_jones(fixed, apply_waveplate(QubitState(np.pi / 4, 0),
-                                                   "quarter", angle + np.pi))
+            h = QubitState(np.pi / 4, 0)
+            a = apply_jones(fixed, apply_jones(quarter_wave_plate(angle), h))
+            b = apply_jones(fixed, apply_jones(quarter_wave_plate(angle + np.pi),
+                                               h))
             assert fidelity(a, b) == pytest.approx(1.0, abs=1e-10)
 
     def test_confined_to_southern_hemisphere(self):
@@ -207,9 +203,9 @@ class TestFidelity:
         before = fidelity(a, b)
         for _ in range(4):
             angle = rng.uniform(0, np.pi)
-            kind = "half" if rng.integers(2) else "quarter"
-            a = apply_waveplate(a, kind, angle)
-            b = apply_waveplate(b, kind, angle)
+            plate = half_wave_plate if rng.integers(2) else quarter_wave_plate
+            a = apply_jones(plate(angle), a)
+            b = apply_jones(plate(angle), b)
         assert fidelity(a, b) == pytest.approx(before, abs=1e-12)
 
     def test_pure_matches_uhlmann_on_sphere(self):

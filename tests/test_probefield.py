@@ -99,7 +99,7 @@ class TestExactField:
 
     def test_north_pole_with_coupling_is_fine(self):
         field = exact_field(PROBE, QubitState(0, 0))
-        value = field(0.5, 0.2)
+        value = field.amplitude(0.5, 0.2)
         assert np.isfinite(value) and value != 0
 
     def test_requires_unit_charge(self):
