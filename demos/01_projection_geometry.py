@@ -10,8 +10,7 @@ and the round trip back to the sphere.
 
 import numpy as np
 
-from vortexscope import (QubitState, stereographic_invert,
-                         stereographic_project, weak_value_pure)
+from vortexscope import QubitState, stereographic_invert, stereographic_project
 
 print("=== landmark states ===")
 landmarks = [
@@ -50,7 +49,11 @@ for _ in range(1000):
 print(f"  1000 random points, worst round-trip error: {worst:.2e}")
 
 print()
-print("=== the weak value is the same number ===")
+print("=== the weak value is the projection point ===")
 state = QubitState(0.9, 2.4)
-print(f"  weak value        : {weak_value_pure(state).value}")
-print(f"  projection point  : {stereographic_project(state)}")
+psi = np.array(state.amplitudes())          # (c0, c1) in the circular basis
+post = np.array([0.0, 1.0])                 # right circular |1>
+sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+weak = (post.conj() @ sigma_x @ psi) / (post.conj() @ psi)
+print(f"  <1|sigma_x|psi>/<1|psi> : {complex(weak)}")
+print(f"  projection point        : {stereographic_project(state)}")

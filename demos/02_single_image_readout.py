@@ -12,17 +12,18 @@ import numpy as np
 
 from vortexscope import (Calibration, ProbeConfig, QubitState, estimate_state,
                          exact_field, extract_zip, fast_sensor, fidelity,
-                         render, weak_condition_margin, weak_value_pure)
+                         render, stereographic_project,
+                         weak_condition_margin)
 
 probe = ProbeConfig(w0=1.0, g=0.05)           # millimeters
 truth = QubitState(theta=1.1, phi=5.4)
-w = weak_value_pure(truth)
+w = stereographic_project(truth)
 print(f"prepared state:     theta={truth.theta:.4f}  phi={truth.phi:.4f}")
-print(f"weak value:         {w.value:.4f}")
-print(f"weak-margin:        {weak_condition_margin(w.value, probe):.1f} "
+print(f"weak value:         {w:.4f}")
+print(f"weak-margin:        {weak_condition_margin(w, probe):.1f} "
       "(>> 1, displaced-vortex picture valid)")
-print(f"expected dark spot: ({probe.g * w.value.real:+.5f}, "
-      f"{probe.g * w.value.imag:+.5f}) mm")
+print(f"expected dark spot: ({probe.g * w.real:+.5f}, "
+      f"{probe.g * w.imag:+.5f}) mm")
 
 sensor = fast_sensor(probe.w0, pixels=512)
 image = render(exact_field(probe, truth), sensor)

@@ -11,7 +11,7 @@ import numpy as np
 from vortexscope import (BlochVector, Calibration, ProbeConfig, ZipEstimate,
                          extract_zip, fast_sensor, fidelity,
                          mixed_exact_field, reconstruct_mixed, render,
-                         weak_value_mixed)
+                         stereographic_project)
 
 probe = ProbeConfig(w0=1.0, g=0.05)
 calibration = Calibration(origin=(0.0, 0.0), scale=probe.g)
@@ -23,14 +23,14 @@ print(f"true Bloch vector: ({rho.x}, {rho.y}, {rho.z}), |r| = {rho.norm():.4f}")
 print()
 print("per-plane weak values (each one a projection of the same point):")
 for plane in planes:
-    w = weak_value_mixed(rho, plane).value
+    w = stereographic_project(rho, plane)
     print(f"  post-selection ({plane.x:+.0f},{plane.y:+.0f},{plane.z:+.0f})"
           f"  ->  w = {w.real:+.4f} {w.imag:+.4f}i")
 
 # geometry-only reconstruction from the exact weak values
 observations = []
 for plane in planes:
-    w = weak_value_mixed(rho, plane).value
+    w = stereographic_project(rho, plane)
     zip_est = ZipEstimate((probe.g * w.real, probe.g * w.imag), 1, 1.0)
     observations.append((zip_est, calibration, plane))
 ideal = reconstruct_mixed(observations)

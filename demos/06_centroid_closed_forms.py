@@ -18,11 +18,11 @@ import numpy as np
 
 from vortexscope import (CENTROID_IM_SIGN, ProbeConfig, QubitState,
                          analytic_centroid, centroid_by_quadrature,
-                         exact_field, overlap_factor, weak_value_pure)
+                         exact_field, overlap_factor, stereographic_project)
 
 w0 = 1.0
 state = QubitState(np.pi / 3, 0.8)
-w = weak_value_pure(state).value
+w = stereographic_project(state)
 print(f"state theta={state.theta:.3f} phi={state.phi:.3f}, w = {w:.4f}\n")
 
 print("coupling sweep (closed form vs quadrature of the interfering field):")

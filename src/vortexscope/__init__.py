@@ -8,10 +8,8 @@ from .polarization import (BlochVector, JonesOperator, QubitState,
                            apply_jones, equator_path, fidelity,
                            half_wave_plate, infinity_path, quarter_wave_plate,
                            wave_plate)
-from .weakvalue import (SOUTH_POLE, PoleStateError, WeakValue,
-                        stereographic_invert, stereographic_project,
-                        weak_condition_margin, weak_value_mixed,
-                        weak_value_pure)
+from .weakvalue import (SOUTH_POLE, PoleStateError, stereographic_invert,
+                        stereographic_project, weak_condition_margin)
 from .probefield import (CENTROID_IM_SIGN, ComplexField, MixedField,
                          ProbeConfig, TruncationWarning, ZeroFieldError,
                          analytic_centroid, approx_field,

@@ -397,7 +397,7 @@ def cmd_centroid_check(args) -> int:
             for phi in phis:
                 state = QubitState(theta, phi)
                 points.append((theta, phi, state,
-                               weakvalue.weak_value_pure(state).value))
+                               weakvalue.stereographic_project(state)))
     for g_ratio, probe in zip(ratios, probes):
         with _config_errors(subject + f"'g_over_w0' entry {g_ratio!r}"):
             closed.append([probefield.analytic_centroid(probe, state)

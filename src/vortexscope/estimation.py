@@ -13,7 +13,7 @@ from scipy import ndimage
 from .imaging import IntensityImage, real, reals
 from .polarization import BlochVector, QubitState
 from .weakvalue import (SOUTH_POLE, projection_line, stereographic_invert,
-                        weak_value_pure)
+                        stereographic_project)
 
 
 class EstimationError(ValueError):
@@ -245,7 +245,7 @@ def calibrate(references) -> tuple:
         raise CalibrationError("need at least two reference images")
     ws, zs = [], []
     for image, state in references:
-        ws.append(weak_value_pure(state).value)
+        ws.append(stereographic_project(state))
         zip_est = extract_zip(image)
         zs.append(complex(*zip_est.position))
     ws = np.array(ws)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .polarization import BlochVector, QubitState
 from .weakvalue import (SOUTH_POLE, PoleStateError, pointer_amplitudes,
-                        projection_frame, weak_value_mixed, weak_value_pure)
+                        projection_frame, stereographic_project)
 
 # Sign of the intensity-centroid y coordinate relative to Im(w), fixed once by
 # the quadrature oracle: the centroid sits on the opposite side of the x axis
@@ -320,7 +320,7 @@ def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,
     1/4 [[1 - r.x_hat, -(r.p - i r.e_hat)], [-(r.p + i r.e_hat), 1 + r.x_hat]].
     """
     shifts = _exact_shifts(cfg)
-    w_mix = weak_value_mixed(rho, postselection).value
+    w_mix = stereographic_project(rho, postselection)
     p, e_hat = projection_frame(postselection)
     r = rho.as_array()
     off = -(r @ p - 1j * (r @ e_hat))
@@ -356,7 +356,7 @@ def analytic_centroid(cfg: ProbeConfig, state: QubitState):
     """
     if cfg.l != 1:
         raise ValueError("closed-form centroids are defined for l = 1")
-    w = weak_value_pure(state).value  # raises at the theta = 0 pole
+    w = stereographic_project(state)  # raises at the theta = 0 pole
     d = _centroid_denominator(cfg, w)
     x_bar = cfg.g * w.real / d
     y_bar = CENTROID_IM_SIGN * cfg.g * np.exp(-cfg.g ** 2 / (2 * cfg.w0 ** 2)) \
@@ -366,7 +366,7 @@ def analytic_centroid(cfg: ProbeConfig, state: QubitState):
 
 def exact_field_norm(cfg: ProbeConfig, state: QubitState) -> float:
     """Closed-form squared-magnitude integral |<1|psi>|^2 D of the exact field."""
-    w = weak_value_pure(state).value
+    w = stereographic_project(state)
     _, c1 = state.amplitudes()
     return float(abs(c1) ** 2 * _centroid_denominator(cfg, w))
 

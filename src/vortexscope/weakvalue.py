@@ -8,20 +8,19 @@ x_hat and e_hat = p x x_hat (real part along x_hat, imaginary part along
 -e_hat).  Post-selections with a component along x are rejected: their weak
 values are no longer projection points.
 
-This module owns the post-selection frame: the orthogonality check, the
-plane spanned by x_hat and e_hat, and the pointer amplitudes of a pure state
-in that frame, whose w is the one formula for a pure state's weak value
-(mixed input takes the Bloch form of weak_value_mixed).  Other modules ask
-it for these rather than deriving them.
+This module owns the post-selection frame (the orthogonality check and the
+plane spanned by x_hat and e_hat), the pointer amplitudes of a pure state
+in that frame, and `stereographic_project`, the one map from a state to its
+weak value: the pointer amplitudes' w for a QubitState, the Bloch form for
+a Bloch vector, pure or mixed.  Other modules ask it for these rather than
+deriving them.
 
-The pole p = -f has no image: every weak value here raises PoleStateError
-there, tested once per state form (|<f|psi>| for a pure state, 1 - r.p for
-a Bloch vector).
+The pole p = -f has no image: `stereographic_project` raises
+PoleStateError there, tested once per state form (|<f|psi>| for a pure
+state, 1 - r.p for a Bloch vector).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,50 +85,30 @@ def pointer_amplitudes(state: QubitState, postselection: BlochVector = SOUTH_POL
     return (-(c0 - c1) / 2.0, e * (c0 + c1) / 2.0), overlap, w
 
 
-@dataclass(frozen=True)
-class WeakValue:
-    """Complex weak value of sigma_x.  The function that returns one has
-    checked its post-selection and refused the pole."""
+def stereographic_project(state, postselection: BlochVector = SOUTH_POLE) -> complex:
+    """Stereographic image of a state from the pole p = -f: its sigma_x weak
+    value Tr(Pi sigma_x rho) / Tr(Pi rho).
 
-    value: complex
-
-
-def weak_value_pure(state: QubitState) -> WeakValue:
-    """Weak value for the |1> post-selection: the w of `pointer_amplitudes`
-    at SOUTH_POLE, c0/c1 for the state's amplitudes (c0, c1)."""
-    return WeakValue(stereographic_project(state))
-
-
-def weak_value_mixed(rho: BlochVector, postselection: BlochVector) -> WeakValue:
-    """Weak value Tr(Pi sigma_x rho) / Tr(Pi rho) in Bloch form.
-
-    With pole p = -f and e_hat = p x x_hat this is
-    (r.x_hat - i r.e_hat) / (1 - r.p), which reduces to the pure-state
-    formula for unit r and south-pole post-selection.
+    A QubitState takes the w of `pointer_amplitudes`.  A Bloch vector r,
+    pure or mixed, takes the Bloch form (r.x_hat - i r.e_hat) / (1 - r.p)
+    with e_hat = p x x_hat.  The pole itself has no image and raises
+    PoleStateError.
     """
+    if isinstance(state, QubitState):
+        w = pointer_amplitudes(state, postselection)[2]
+        if w is None:
+            raise PoleStateError("weak value diverges: the state is the "
+                                 "projection pole of the post-selection")
+        return w
     p, e_hat = projection_frame(postselection)
-    r = rho.as_array()
+    r = state.as_array()
     denom = 1.0 - float(r @ p)
     # success probability is denom / 2; this bound is wider than _POLE_TOL
     # because 1 - r.p cancels the digits that the amplitude form keeps
     if denom <= 2e-12:
         raise PoleStateError(
             "post-selection probability vanishes for this state")
-    return WeakValue((float(r @ X_AXIS) - 1j * float(r @ e_hat)) / denom)
-
-
-def stereographic_project(state, postselection: BlochVector = SOUTH_POLE) -> complex:
-    """Stereographic image of a state from the pole -f: its sigma_x weak
-    value, the w of `pointer_amplitudes` for a pure state and of
-    `weak_value_mixed` for a Bloch vector.  The pole itself has no image
-    and raises PoleStateError."""
-    if not isinstance(state, QubitState):
-        return weak_value_mixed(state, postselection).value
-    w = pointer_amplitudes(state, postselection)[2]
-    if w is None:
-        raise PoleStateError("weak value diverges: the state is the "
-                             "projection pole of the post-selection")
-    return w
+    return (float(r @ X_AXIS) - 1j * float(r @ e_hat)) / denom
 
 
 def stereographic_invert(point: complex, postselection: BlochVector = SOUTH_POLE) -> BlochVector:

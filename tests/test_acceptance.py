@@ -21,8 +21,7 @@ from vortexscope.probefield import (CENTROID_IM_SIGN, ProbeConfig,
                                     exact_postselected_field,
                                     mixed_exact_field)
 from vortexscope.weakvalue import (SOUTH_POLE, stereographic_invert,
-                                   stereographic_project, weak_value_mixed,
-                                   weak_value_pure)
+                                   stereographic_project)
 
 _MODULE_T0 = time.time()
 
@@ -122,7 +121,7 @@ def test_criterion_1_closed_form_centroids_match_quadrature():
                 xa, ya = analytic_centroid(probe, state)
                 xq, yq = centroid_by_quadrature(exact_field(probe, state), 512)
                 worst = max(worst, abs(xa - xq), abs(abs(ya) - abs(yq)))
-                w = weak_value_pure(state).value
+                w = stereographic_project(state)
                 if abs(w.imag) > 1e-9 and abs(yq) > 10 * tolerance:
                     signs.add(int(np.sign(yq) * np.sign(w.imag)))
     elapsed = time.time() - t0
@@ -145,7 +144,7 @@ def test_criterion_2_weak_limit_zip_contract():
     ratios_ok = True
     detail = []
     for name, state in states.items():
-        w = weak_value_pure(state).value
+        w = stereographic_project(state)
         errors = []
         for g in (0.1, 0.05, 0.025):
             probe = ProbeConfig(w0=W0, g=g)
@@ -165,7 +164,7 @@ def test_criterion_2_weak_limit_zip_contract():
     ccd = experiment_ccd()
     worst_px = 0.0
     for state in states.values():
-        w = weak_value_pure(state).value
+        w = stereographic_project(state)
         g = W0 / (20.0 * max(1.0, abs(w)))  # weak-condition margin 20
         probe = ProbeConfig(w0=W0, g=g)
         zip_est = extract_zip(render(exact_field(probe, state), ccd))
@@ -260,7 +259,7 @@ def test_criterion_6_mixed_state_reconstruction(rng):
         r = rng.uniform(0, 0.9) * direction / np.linalg.norm(direction)
         observations = []
         for plane in FOUR_PLANES:
-            w = weak_value_mixed(BlochVector(*r), plane).value
+            w = stereographic_project(BlochVector(*r), plane)
             zip_est = ZipEstimate((G_MARGIN20 * w.real, G_MARGIN20 * w.imag),
                                   1, 1.0)
             observations.append((zip_est, IDENTITY_CAL, plane))

@@ -17,8 +17,7 @@ from vortexscope.imaging import (IntensityImage, SensorConfig,
 from vortexscope.polarization import BlochVector, QubitState, fidelity
 from vortexscope.probefield import (ProbeConfig, approx_field, exact_field,
                                     lg_field, mixed_exact_field)
-from vortexscope.weakvalue import (SOUTH_POLE, weak_value_mixed,
-                                   weak_value_pure)
+from vortexscope.weakvalue import SOUTH_POLE, stereographic_project
 
 W0 = 1.0
 PROBE = ProbeConfig(w0=W0, g=0.05)
@@ -27,7 +26,7 @@ IDENTITY_CAL = Calibration(origin=(0.0, 0.0), scale=PROBE.g)
 
 def analytic_observation(r, postselection):
     """Exact-weak-value observation tuple for reconstruct_mixed."""
-    w = weak_value_mixed(BlochVector(*r), postselection).value
+    w = stereographic_project(BlochVector(*r), postselection)
     zip_est = ZipEstimate(position=(PROBE.g * w.real, PROBE.g * w.imag),
                           pixel_count_used=1, threshold_used=1.0)
     return (zip_est, IDENTITY_CAL, postselection)
@@ -144,7 +143,7 @@ class TestExtractZip:
         field = mixed_exact_field(PROBE, rho)
         img = render(field, sensor)
         zip_est = extract_zip(img)
-        w = weak_value_mixed(rho, SOUTH_POLE).value
+        w = stereographic_project(rho, SOUTH_POLE)
         target = (PROBE.g * w.real, PROBE.g * w.imag)
         err = np.hypot(zip_est.position[0] - target[0],
                        zip_est.position[1] - target[1])
@@ -471,7 +470,7 @@ class TestReconstructMixed:
         r = [0.0, 0.0, -1.0]
         observations = []
         for f, eps in ((BlochVector(0, 1, 0), 0.02), (BlochVector(0, -1, 0), -0.02)):
-            w = weak_value_mixed(BlochVector(*r), f).value
+            w = stereographic_project(BlochVector(*r), f)
             pos = (PROBE.g * (w.real + eps), PROBE.g * w.imag)
             observations.append((ZipEstimate(pos, 1, 1.0), IDENTITY_CAL, f))
         result = reconstruct_mixed(observations)

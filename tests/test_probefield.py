@@ -14,7 +14,8 @@ from vortexscope.probefield import (CENTROID_IM_SIGN, ProbeConfig,
                                     exact_postselected_field, lg_field,
                                     mixed_exact_field,
                                     overlap_factor, quadrature_norm)
-from vortexscope.weakvalue import SOUTH_POLE, PoleStateError, weak_value_pure
+from vortexscope.weakvalue import (SOUTH_POLE, PoleStateError,
+                                   stereographic_project)
 
 W0 = 1.0
 PROBE = ProbeConfig(w0=W0, g=0.05)
@@ -158,7 +159,7 @@ class TestApproxField:
     def test_higher_charge_supported(self):
         cfg = ProbeConfig(w0=W0, g=0.05, l=3)
         state = QubitState(np.pi / 4, np.pi / 2)  # w = -i
-        w = weak_value_pure(state).value
+        w = stereographic_project(state)
         zip_xy = (cfg.g * w.real, cfg.g * w.imag)
         assert abs(approx_postselected_field(cfg, state, *zip_xy)) < 1e-16
 
@@ -203,7 +204,7 @@ class TestQuadratureCentroid:
         # w = -i: the y centroid magnitude is g e^{-g^2/2w0^2} / D and its
         # sign against Im(w) is the module constant
         state = QubitState(np.pi / 4, np.pi / 2)
-        w = weak_value_pure(state).value
+        w = stereographic_project(state)
         assert w == pytest.approx(-1j, abs=1e-14)
         field = exact_field(PROBE, state)
         x_bar, y_bar = centroid_by_quadrature(field, 512)
@@ -266,7 +267,7 @@ class TestWeakLimit:
         from vortexscope.imaging import SensorConfig, render
 
         state = QubitState(np.arctan(0.5), 0.0)  # w = 2
-        w = weak_value_pure(state).value
+        w = stereographic_project(state)
         errors = []
         for g in (0.1, 0.05, 0.025):
             cfg = ProbeConfig(w0=W0, g=g)

@@ -25,8 +25,7 @@ from vortexscope.probefield import (ProbeConfig, TruncationWarning,
                                     mixed_exact_field)
 from vortexscope.weakvalue import (PoleStateError, pointer_amplitudes,
                                    projection_frame, stereographic_invert,
-                                   stereographic_project,
-                                   weak_value_mixed, weak_value_pure)
+                                   stereographic_project)
 
 angles = st.floats(0.0, 2 * np.pi)
 # the four axis-aligned post-selections are drawn as often as the rest
@@ -56,9 +55,9 @@ def test_mixed_weak_value_matches_pointer_amplitudes(angle, theta, phi):
     state = QubitState(theta, phi)
     assume(np.linalg.norm(state.bloch().as_array()
                           + postselection.as_array()) > 1e-2)
-    mixed = weak_value_mixed(state.bloch(), postselection).value
+    mixed = stereographic_project(state.bloch(), postselection)
     _, _, w = pointer_amplitudes(state, postselection)
-    # 1 - r.p in weak_value_mixed cancels next to the pole; a wrong frame
+    # 1 - r.p in the Bloch form cancels next to the pole; a wrong frame
     # is off by order one
     assert abs(w - mixed) <= 1e-11 * max(1.0, abs(w))
 
@@ -71,7 +70,7 @@ def test_pointer_amplitudes_at_south_pole_are_the_unrotated_terms(theta, phi):
                                                       postselection_at(0.0))
     assert (a_minus, a_plus, overlap) == (-(c0 - c1) / 2.0, (c0 + c1) / 2.0, c1)
     if theta >= 1e-12:
-        assert w == weak_value_pure(state).value
+        assert w == stereographic_project(state)
     else:
         assert w is None
 
@@ -112,7 +111,7 @@ def test_reconstruct_mixed_recovers_exactly(r, offset, origin, scale,
     observations = []
     for k in range(4):
         postselection = postselection_at(offset + k * np.pi / 2)
-        w = weak_value_mixed(rho, postselection).value
+        w = stereographic_project(rho, postselection)
         z = complex(*origin) + scale * np.exp(1j * orientation) * w
         observations.append((ZipEstimate((z.real, z.imag), 1, 0.0),
                              calibration, postselection))

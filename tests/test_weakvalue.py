@@ -6,8 +6,7 @@ from vortexscope.probefield import ProbeConfig
 from vortexscope.weakvalue import (SOUTH_POLE, PoleStateError,
                                    stereographic_invert,
                                    stereographic_project,
-                                   weak_condition_margin,
-                                   weak_value_mixed, weak_value_pure)
+                                   weak_condition_margin)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -32,52 +31,52 @@ def amplitude_oracle(state):
 
 class TestPureWeakValue:
     def test_h_state(self):
-        assert weak_value_pure(QubitState(np.pi / 4, 0)).value \
+        assert stereographic_project(QubitState(np.pi / 4, 0)) \
             == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_south_pole_is_zero(self):
-        assert weak_value_pure(QubitState(np.pi / 2, 0)).value \
+        assert stereographic_project(QubitState(np.pi / 2, 0)) \
             == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_circle_state(self):
         state = QubitState(np.pi / 4, np.pi / 2)
-        assert weak_value_pure(state).value == pytest.approx(-1j, abs=1e-12)
-        assert weak_value_pure(state).value \
+        assert stereographic_project(state) == pytest.approx(-1j, abs=1e-12)
+        assert stereographic_project(state) \
             == pytest.approx(amplitude_oracle(state), abs=1e-12)
 
     def test_matches_amplitude_ratio_everywhere(self):
         for theta in np.linspace(0.05, np.pi / 2, 8):
             for phi in np.linspace(0, 2 * np.pi, 7, endpoint=False):
                 state = QubitState(theta, phi)
-                assert weak_value_pure(state).value \
+                assert stereographic_project(state) \
                     == pytest.approx(amplitude_oracle(state), abs=1e-12)
 
     def test_pole_raises(self):
         with pytest.raises(PoleStateError):
-            weak_value_pure(QubitState(0.0, 0.0))
+            stereographic_project(QubitState(0.0, 0.0))
 
 
 class TestMixedWeakValue:
     def test_maximally_mixed_is_zero(self):
         for f in ([0, 0, -1], [0, 1, 0], [0, -1, 0]):
-            w = weak_value_mixed(BlochVector(0, 0, 0), BlochVector(*f))
-            assert w.value == pytest.approx(0.0, abs=1e-15)
+            w = stereographic_project(BlochVector(0, 0, 0), BlochVector(*f))
+            assert w == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_reduces_to_closed_form(self, rng):
         for _ in range(30):
             state = QubitState(rng.uniform(0.05, np.pi / 2),
                                rng.uniform(0, 2 * np.pi))
-            mixed = weak_value_mixed(state.bloch(), SOUTH_POLE)
-            assert mixed.value == pytest.approx(weak_value_pure(state).value,
-                                                abs=1e-12)
+            mixed = stereographic_project(state.bloch(), SOUTH_POLE)
+            assert mixed == pytest.approx(stereographic_project(state),
+                                          abs=1e-12)
 
     def test_frozen_trace_oracle_example(self):
         # value computed with the 2x2 trace oracle below
         r, f = [0.3, -0.2, 0.4], [0.0, -1.0, 0.0]
         expected = trace_oracle(r, f)
         assert expected == pytest.approx(0.25 + 1j / 3, abs=1e-15)
-        w = weak_value_mixed(BlochVector(*r), BlochVector(*f))
-        assert w.value == pytest.approx(expected, abs=1e-12)
+        w = stereographic_project(BlochVector(*r), BlochVector(*f))
+        assert w == pytest.approx(expected, abs=1e-12)
 
     def test_matches_trace_oracle_randomly(self, rng):
         for _ in range(40):
@@ -85,21 +84,21 @@ class TestMixedWeakValue:
             r *= rng.uniform(0, 0.95) / np.linalg.norm(r)
             angle = rng.uniform(0, 2 * np.pi)
             f = np.array([0.0, np.sin(angle), np.cos(angle)])
-            w = weak_value_mixed(BlochVector(*r), BlochVector(*f))
-            assert w.value == pytest.approx(trace_oracle(r, f), abs=1e-12)
+            w = stereographic_project(BlochVector(*r), BlochVector(*f))
+            assert w == pytest.approx(trace_oracle(r, f), abs=1e-12)
 
     def test_zero_probability_postselection(self):
         with pytest.raises(PoleStateError):
-            weak_value_mixed(BlochVector(0, 0, 1), SOUTH_POLE)
+            stereographic_project(BlochVector(0, 0, 1), SOUTH_POLE)
 
     def test_rejects_postselection_off_the_plane(self):
         with pytest.raises(ValueError):
-            weak_value_mixed(BlochVector(0, 0, 0),
-                             BlochVector(np.sqrt(0.5), np.sqrt(0.5), 0))
+            stereographic_project(BlochVector(0, 0, 0),
+                                  BlochVector(np.sqrt(0.5), np.sqrt(0.5), 0))
 
     def test_rejects_nonunit_postselection(self):
         with pytest.raises(ValueError):
-            weak_value_mixed(BlochVector(0, 0, 0), BlochVector(0, 0.5, 0))
+            stereographic_project(BlochVector(0, 0, 0), BlochVector(0, 0.5, 0))
 
 
 class TestStereographicProjection:
@@ -116,12 +115,6 @@ class TestStereographicProjection:
         w = stereographic_project(QubitState(np.pi / 8, 0.0))
         assert abs(w) == pytest.approx(1 / np.tan(np.pi / 8), abs=1e-12)
         assert abs(w) > 2.4
-
-    def test_coincides_with_weak_value(self, rng):
-        for _ in range(20):
-            state = QubitState(rng.uniform(0.05, np.pi / 2),
-                               rng.uniform(0, 2 * np.pi))
-            assert stereographic_project(state) == weak_value_pure(state).value
 
     def test_pole_is_an_error(self):
         with pytest.raises(PoleStateError):
@@ -144,23 +137,18 @@ class TestOnePoleError:
         state = QubitState(1e-13, 0.3)
         with pytest.raises(PoleStateError):
             stereographic_project(state)
-        with pytest.raises(PoleStateError):
-            weak_value_pure(state)
 
     @pytest.mark.parametrize("theta", [1e-13, 1e-7])
     def test_bloch_vector_next_to_the_pole(self, theta):
         bloch = QubitState(theta, 0.3).bloch()
         with pytest.raises(PoleStateError):
             stereographic_project(bloch)
-        with pytest.raises(PoleStateError):
-            weak_value_mixed(bloch, SOUTH_POLE)
 
     def test_amplitude_form_keeps_the_state_near_the_pole(self):
         # 1 - r.p has cancelled to 2e-14 here; c0/c1 keeps every digit
         w = complex(float.fromhex("0x1.238ba9c852b5dp+23"),
                     float.fromhex("-0x1.68be10886c995p+21"))
         state = QubitState(1e-7, 0.3)
-        assert weak_value_pure(state).value == w
         assert stereographic_project(state) == w
 
 
@@ -212,7 +200,7 @@ class TestStereographicInversion:
             r *= rng.uniform(0, 0.9) / np.linalg.norm(r)
             angle = rng.uniform(0, 2 * np.pi)
             f = BlochVector(0.0, np.sin(angle), np.cos(angle))
-            w = weak_value_mixed(BlochVector(*r), f).value
+            w = stereographic_project(BlochVector(*r), f)
             pole = -f.as_array()
             e_hat = np.cross(pole, [1.0, 0, 0])
             q = w.real * np.array([1.0, 0, 0]) - w.imag * e_hat
@@ -234,7 +222,7 @@ class TestWeakConditionMargin:
 
     def test_h_state_default_geometry(self):
         probe = ProbeConfig(w0=1.0, g=0.05)
-        w = weak_value_pure(QubitState(np.pi / 4, 0)).value
+        w = stereographic_project(QubitState(np.pi / 4, 0))
         assert weak_condition_margin(w, probe) == pytest.approx(20.0)
 
     def test_small_weak_values_capped_at_one(self):
