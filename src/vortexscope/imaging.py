@@ -374,8 +374,14 @@ def rewrite_file(path, placeholder: bytes, *chunks) -> None:
 
 
 def write_image(img: IntensityImage, path) -> None:
-    """Write a 16-bit binary graymap, scaled to the frame's peak, with the
-    sensor geometry, intensity scale and provenance in a JSON comment.
+    """Write a 16-bit binary graymap with the sensor geometry, intensity
+    scale and provenance in a JSON comment.
+
+    A count frame, every pixel a whole number from 0 to 65535, keeps its
+    counts at scale 1, so it reads back as the frame that was written.
+    Any other frame is scaled to its peak.  Only a frame whose peak is such
+    a whole number is a candidate; the quantiser tests its pixels as it
+    stores them, and quantises again at peak scale if one is not whole.
 
     The file goes through rewrite_file with placeholder magic P0, which
     read_image rejects, so an interrupted rewrite never passes for an image.
@@ -387,23 +393,30 @@ def write_image(img: IntensityImage, path) -> None:
     """
     path = _graymap_path(path)
     peak = img.max_intensity()
-    scale = peak / _PGM_MAXVAL if peak > 0 else 1.0
-    header = _header_dict(img, scale)
     pixels = img.pixels
     quantized = np.empty(pixels.shape, dtype=">u2")
 
-    def quantize(start, stop):
-        # each run's float block is its share of one BLOCK_ROWS block
-        step = max(1, BLOCK_ROWS * (stop - start) // img.sensor.height)
-        block = np.empty((step, img.sensor.width))
-        for i in range(start, stop, step):
-            rows = pixels[i:min(i + step, stop)]
-            part = block[:len(rows)]
-            np.divide(rows, scale, out=part)
-            np.rint(part, out=part)
-            quantized[i:i + len(rows)] = part
+    def quantize(scale, counts):
+        def run(start, stop):
+            # each run's float block is its share of one BLOCK_ROWS block
+            step = max(1, BLOCK_ROWS * (stop - start) // img.sensor.height)
+            block = np.empty((step, img.sensor.width))
+            for i in range(start, stop, step):
+                rows = pixels[i:min(i + step, stop)]
+                part = block[:len(rows)]
+                np.divide(rows, scale, out=part)
+                np.rint(part, out=part)
+                if counts and not np.array_equal(part, rows):
+                    return False
+                quantized[i:i + len(rows)] = part
+            return True
+        return all(map_row_bands(run, img.sensor.height))
 
-    map_row_bands(quantize, img.sensor.height)
+    scale = 1.0
+    if not (peak.is_integer() and peak <= _PGM_MAXVAL and quantize(1.0, True)):
+        scale = peak / _PGM_MAXVAL
+        quantize(scale, False)
+    header = _header_dict(img, scale)
     rewrite_file(path, b"P0",
                  f"P5\n# {json.dumps(header)}\n{img.sensor.width} "
                  f"{img.sensor.height}\n{_PGM_MAXVAL}\n".encode(), quantized)

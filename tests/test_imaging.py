@@ -402,6 +402,49 @@ class TestImageIO:
         assert np.array_equal(read_image(path).pixels,
                               np.rint(pixels / scale) * scale)
 
+    def test_count_frame_reads_from_its_file_as_in_memory(self, tmp_path):
+        # a peak count that is a multiple of 10 puts the 0.1 threshold on a
+        # whole count, where thousands of pixels tie with it
+        probe = ProbeConfig(w0=W0, g=0.1 * W0)
+        img = render(exact_field(probe, QubitState(0.9, 2.0)),
+                     fast_sensor(W0, pixels=512))
+        noisy = next(frame for frame in (add_shot_noise(img, 1e6, seed=seed)
+                                         for seed in range(40))
+                     if frame.max_intensity() % 10 == 0)
+        path = tmp_path / "noisy.pgm"
+        write_image(noisy, path)
+        memory = extract_zip(noisy, threshold_fraction=0.1)
+        back = extract_zip(read_image(path), threshold_fraction=0.1)
+        assert back.position == memory.position
+        assert back.pixel_count_used == memory.pixel_count_used
+
+    def test_count_frame_rewrites_to_the_same_bytes(self, tmp_path):
+        noisy = add_shot_noise(self.img, 1e6, seed=3)
+        first, second = tmp_path / "first.pgm", tmp_path / "second.pgm"
+        write_image(noisy, first)
+        back = read_image(first)
+        assert back.scale == 1.0
+        assert np.array_equal(back.pixels, noisy.pixels)
+        write_image(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("bump", [0.5, 65536.0], ids=["fraction", "over"])
+    def test_frame_not_all_counts_keeps_peak_scaling(self, tmp_path, bump):
+        # a whole peak under 65536 with one fractional pixel in the last
+        # band, and a count above 65535
+        sensor = SensorConfig(pixel_pitch=0.1, width=100,
+                              height=2 * BLOCK_ROWS + 37)
+        pixels = np.random.default_rng(5).poisson(
+            50.0, size=(sensor.height, 100)).astype(float)
+        pixels[-1, -1] += bump
+        img = IntensityImage(pixels, sensor, {})
+        path = tmp_path / "img.pgm"
+        write_image(img, path)
+        _, comment, _, _, payload = path.read_bytes().split(b"\n", 4)
+        scale = img.max_intensity() / 65535
+        assert json.loads(comment[1:])["intensity_scale"] == scale
+        assert payload == np.rint(pixels / scale).astype(">u2").tobytes()
+
     def test_pgm_rewrite_over_larger_frame_matches_fresh_write(self, tmp_path):
         path, fresh = tmp_path / "img.pgm", tmp_path / "fresh.pgm"
         big = IntensityImage(np.ones((1024, 1024)), experiment_ccd(), {})
