@@ -306,7 +306,6 @@ def cmd_estimate(args) -> int:
                 image, threshold_fraction=args.threshold_fraction)
             w = calibration.unapply(zip_est.position)
             state = estimation.estimate_state(zip_est, calibration, postselection)
-            b = state.bloch()
             fid = ""
             reference = image.provenance.get("state")
             if isinstance(reference, dict):
@@ -316,8 +315,8 @@ def cmd_estimate(args) -> int:
                 fid = polarization.fidelity(truth, state)
                 fidelities.append(fid)
             rows.append((path, zip_est.position[0], zip_est.position[1],
-                         w.real, w.imag, state.theta, state.phi,
-                         b.x, b.y, b.z, fid, ""))
+                         w.real, w.imag, *polarization.state_csv_row(state),
+                         fid, ""))
         except (ValueError, OSError) as bad:
             failures += 1
             rows.append((path, "", "", "", "", "", "", "", "", "", "",

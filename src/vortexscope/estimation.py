@@ -269,13 +269,6 @@ def calibrate(references) -> tuple:
 # Mixed-state reconstruction
 # ---------------------------------------------------------------------------
 
-def _reconstruction_line(w: complex, postselection: BlochVector):
-    """Line through the projection pole and the plane point of w."""
-    pole, plane_point = projection_line(w, postselection)
-    direction = plane_point - pole
-    return pole, direction / np.linalg.norm(direction)
-
-
 # reconstruct_mixed refuses normal matrices of larger condition number
 CONDITION_LIMIT = 1e8
 
@@ -293,10 +286,11 @@ def reconstruct_mixed(observations) -> ReconstructionResult:
         raise ValueError("need at least two observations")
     poles, dirs = [], []
     for zip_estimate, calibration, postselection in observations:
-        w = calibration.unapply(zip_estimate.position)
-        pole, direction = _reconstruction_line(w, postselection)
+        pole, plane_point = projection_line(
+            calibration.unapply(zip_estimate.position), postselection)
+        direction = plane_point - pole
         poles.append(pole)
-        dirs.append(direction)
+        dirs.append(direction / np.linalg.norm(direction))
     normal = np.zeros((3, 3))
     rhs = np.zeros(3)
     for pole, direction in zip(poles, dirs):
@@ -315,12 +309,9 @@ def reconstruct_mixed(observations) -> ReconstructionResult:
     dists = [np.linalg.norm((point - pole) - ((point - pole) @ d) * d)
              for pole, d in zip(poles, dirs)]
     residual = float(np.sqrt(np.mean(np.square(dists))))
-    clipped = False
     norm = np.linalg.norm(point)
-    if norm > 1.0 + 1e-6:
-        point = point / norm
-        clipped = True
-    elif norm > 1.0:
+    clipped = bool(norm > 1.0 + 1e-6)
+    if norm > 1.0:
         point = point / norm
     return ReconstructionResult(bloch=BlochVector.from_array(point),
                                 residual=residual,
