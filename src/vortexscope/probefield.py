@@ -3,11 +3,12 @@ post-selected probe field (exact two-component form and the weak-limit
 complex-displaced vortex), and closed-form intensity centroids with their
 quadrature oracle.
 
-A pure field is a short list of displaced vortex terms, (coefficient,
-shift) pairs, and a mixture a coherence matrix over two such terms; one
-routine evaluates both over physical (x, y) coordinates: pointwise on
-full meshgrids for quadrature and root finding, separably on an open pixel
-grid for rendering.  Lengths are in millimeters throughout.
+A field is an incoherent sum of components, each a short list of
+displaced vortex terms, (coefficient, shift) pairs: a pure field is one
+component, a mixture several.  One routine evaluates every field over
+physical (x, y) coordinates: pointwise on full meshgrids for quadrature
+and root finding, separably on an open pixel grid for rendering.  Lengths
+are in millimeters throughout.
 
 The module also owns the package's one thread pool: `map_row_bands` runs a
 frame's per-pixel passes (here the intensity contraction, in `imaging` the
@@ -170,38 +171,34 @@ def _intensity(b, y, w0):
     return out
 
 
-def _correlate(p, q):
-    """c[n] = sum_j p[j] conj(q[n - j]): the y-polynomial p(y) conj(q(y))."""
-    l = len(p) - 1
-    return [sum(p[j] * np.conj(q[n - j])
-                for j in range(max(0, n - l), min(n, l) + 1))
-            for n in range(2 * l + 1)]
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Sum of displaced vortex terms held as (c, s) pairs:
+    """Incoherent sum of components, each a sum of displaced vortex terms
+    held as (c, s) pairs:
     sum_k c_k N_l (x - s_k + iy)^l exp(-(x - s_k)^2/4 w0^2) exp(-y^2/4 w0^2).
 
-    A complex shift s is the weak-limit displacement G w.  The sum is a
-    polynomial in iy with coefficients in x alone, and its squared magnitude
-    a real polynomial in y, so on an open grid (x of shape (1, W), y of
-    shape (H, 1)) every exponential is one-dimensional.
-    `weak_value` records the displacement context of a post-selected field.
+    The intensity is the sum of the components' squared magnitudes; a pure
+    field is one component, and only it has an `amplitude`.  A complex
+    shift s is the weak-limit displacement G w.  Each component is a
+    polynomial in iy with coefficients in x alone, and its squared
+    magnitude a real polynomial in y, so on an open grid (x of shape
+    (1, W), y of shape (H, 1)) every exponential is one-dimensional.
+    `weak_value` records the displacement context of a post-selected field,
+    and sizes its window.
     """
 
-    terms: tuple  # of (coefficient, shift)
+    components: tuple  # of term tuples of (coefficient, shift)
     probe: ProbeConfig
     description: str
     weak_value: Optional[complex] = None
 
-    def _polynomial(self, x):
+    def _polynomial(self, terms, x):
         """p[j](x) with amplitude = exp(-y^2/4 w0^2) sum_j p[j] y^j."""
         l, k = self.probe.l, -0.25 / self.probe.w0 ** 2
         x = np.asarray(x, dtype=float)
         # a[j] = C(l, j) sum_k c_k N u_k^(l-j) exp(-u_k^2/4 w0^2), u_k = x - s_k
         a = [0.0] * (l + 1)
-        for c, s in self.terms:
+        for c, s in terms:
             u = x - s
             term = c * self.probe.normalization() * np.exp(u * u * k)
             for j in range(l, -1, -1):
@@ -211,12 +208,23 @@ class ComplexField:
         return [aj * 1j ** j for j, aj in enumerate(a)]  # p[j] = i^j a[j]
 
     def intensity_coefficients(self, x):
-        """Real b[n](x) with |amplitude|^2 = exp(-y^2/2 w0^2) sum_n b[n] y^n."""
-        p = self._polynomial(x)
-        return [np.real(c) for c in _correlate(p, p)]
+        """Real b[n](x) with intensity = exp(-y^2/2 w0^2) sum_n b[n] y^n: the
+        sum over components of Re sum_j p[j] conj(p[n - j])."""
+        l, parts = self.probe.l, []
+        for terms in self.components:
+            p = self._polynomial(terms, x)
+            parts.append([np.real(sum(p[j] * np.conj(p[n - j]) for j in
+                                      range(max(0, n - l), min(n, l) + 1)))
+                          for n in range(2 * l + 1)])
+        return [sum(b[1:], b[0]) for b in zip(*parts)]
 
     def amplitude(self, x, y):
-        p = self._polynomial(x)
+        if len(self.components) != 1:
+            raise ValueError(
+                f"the {self.description} field is a mixture of "
+                f"{len(self.components)} incoherent components and has no "
+                "single amplitude; read its intensity")
+        p = self._polynomial(self.components[0], x)
         y = np.asarray(y, dtype=float)
         out = p[-1]
         for coeff in reversed(p[:-1]):  # Horner in y
@@ -232,38 +240,20 @@ class ComplexField:
         return 4.0 * self.probe.w0 + 2.0 * self.probe.g * w
 
 
-@dataclass(frozen=True, eq=False)
-class MixedField:
-    """Intensity Re sum_st M_st p_s p_t* of a Hermitian coherence matrix M
-    over basis fields p_s; `weak_value` is the mixture's, and sizes the
-    window as it does for a pure field."""
-
-    basis: tuple  # of ComplexField
-    coherence: np.ndarray  # M, indexed like basis
-    probe: ProbeConfig
-    description: str
-    weak_value: Optional[complex] = None
-
-    def intensity_coefficients(self, x):
-        p = [field._polynomial(x) for field in self.basis]
-        parts = [[m * c for c in _correlate(p[s], p[t])]
-                 for (s, t), m in np.ndenumerate(self.coherence)]
-        return [np.real(sum(cs)) for cs in zip(*parts)]
-
-    intensity = ComplexField.intensity
-    min_extent = ComplexField.min_extent
-
-
 def lg_field(cfg: ProbeConfig) -> ComplexField:
     """Undisplaced vortex N_l (x+iy)^l exp(-(x^2+y^2)/4 w0^2)."""
-    return ComplexField(((1.0, 0.0),), cfg, "lg", weak_value=0.0)
+    return ComplexField((((1.0, 0.0),),), cfg, "lg", weak_value=0.0)
 
 
-def _exact_shifts(cfg: ProbeConfig):
-    """Shifts -G and +G of the exact field's two terms, defined for l = 1."""
+def _exact(cfg: ProbeConfig, columns, description: str,
+           weak_value) -> ComplexField:
+    """One component per column (k_-, k_+) over the exact terms
+    phi_1(x -+ G, y), which are defined for l = 1."""
     if cfg.l != 1:
         raise ValueError("the exact post-selected field is defined for l = 1")
-    return -cfg.g, cfg.g
+    shifts = (-cfg.g, cfg.g)
+    return ComplexField(tuple(tuple(zip(k, shifts)) for k in columns), cfg,
+                        description, weak_value=weak_value)
 
 
 def exact_field(cfg: ProbeConfig, state: QubitState,
@@ -276,14 +266,12 @@ def exact_field(cfg: ProbeConfig, state: QubitState,
     (<f|psi>/2)(1 +- w) away from it.  The overall factor carries the
     post-selection amplitude, so the field is deliberately not renormalized.
     """
-    shifts = _exact_shifts(cfg)
     amplitudes, _, w = pointer_amplitudes(state, postselection)
     if w is None and cfg.g == 0.0:
         # with zero coupling the components coincide and sum to <f|psi> = 0
         raise ZeroFieldError("post-selection never succeeds: "
                              "pole input with zero coupling")
-    return ComplexField(tuple(zip(amplitudes, shifts)), cfg, "exact",
-                        weak_value=w)
+    return _exact(cfg, (amplitudes,), "exact", w)
 
 
 def exact_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
@@ -303,7 +291,7 @@ def approx_field(cfg: ProbeConfig, state: QubitState,
     if w is None:
         raise PoleStateError("weak value diverges: the state is the "
                              "projection pole of the post-selection")
-    return ComplexField(((overlap, cfg.g * w),), cfg, "approx", weak_value=w)
+    return ComplexField((((overlap, cfg.g * w),),), cfg, "approx", w)
 
 
 def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
@@ -312,21 +300,25 @@ def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
 
 
 def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,
-                      postselection: BlochVector = SOUTH_POLE) -> MixedField:
+                      postselection: BlochVector = SOUTH_POLE) -> ComplexField:
     """Exact post-selected intensity of rho = (1 + r.sigma)/2; l = 1 only.
 
     Coherence M_st = <f|s><s|rho|t><t|f> over the unit exact terms
     phi_1(x -+ G, y); with pole p = -f and e_hat = p x x_hat it is
     1/4 [[1 - r.x_hat, -(r.p - i r.e_hat)], [-(r.p + i r.e_hat), 1 + r.x_hat]].
+    Its eigenpairs with positive eigenvalue factor it as M = K K^dagger, and
+    each column of K is one component: the intensity
+    sum_j |sum_s K_sj phi_s|^2 is Re sum_st M_st phi_s phi_t^*.
     """
-    shifts = _exact_shifts(cfg)
     w_mix = stereographic_project(rho, postselection)
     p, e_hat = projection_frame(postselection)
     r = rho.as_array()
     off = -(r @ p - 1j * (r @ e_hat))
     coherence = 0.25 * np.array([[1.0 - r[0], off], [np.conj(off), 1.0 + r[0]]])
-    basis = tuple(ComplexField(((1.0, s),), cfg, "exact") for s in shifts)
-    return MixedField(basis, coherence, cfg, "mixture", weak_value=w_mix)
+    values, vectors = np.linalg.eigh(coherence)
+    kept = values > 0
+    return _exact(cfg, (vectors[:, kept] * np.sqrt(values[kept])).T,
+                  "mixture", w_mix)
 
 
 # ---------------------------------------------------------------------------

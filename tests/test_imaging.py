@@ -136,7 +136,7 @@ class TestRender:
         cfg = ProbeConfig(w0=W0, g=0.05, l=l)
         for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             field = approx_field(cfg, QubitState(1.0, phi))
-            shift = field.terms[0][1]
+            shift = field.components[0][0][1]
             sensor = SensorConfig(pixel_pitch=0.2, width=33, height=33,
                                   center_offset=(shift.real, shift.imag))
             pixels = render(field, sensor).pixels

@@ -379,6 +379,13 @@ class TestMixedField:
             render(field, fast_sensor(W0))
 
 
+def test_a_mixture_has_no_amplitude():
+    field = mixed_exact_field(PROBE, BlochVector(0.3, -0.2, 0.4))
+    assert len(field.components) == 2
+    with pytest.raises(ValueError, match="mixture of 2 incoherent"):
+        field.amplitude(0.5, 0.2)
+
+
 def horner_intensity(b, y, w0):
     """Reference evaluator: Horner in y over the real coefficients on one
     broadcast grid, clamped at 0, times the row Gaussian."""
