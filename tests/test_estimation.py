@@ -8,13 +8,15 @@ from vortexscope.estimation import (AmbiguousVortexError, Calibration,
                                     CalibrationError,
                                     DegenerateGeometryError, EstimationError,
                                     NearPoleError,
-                                    NoVortexError, ZipEstimate, calibrate,
+                                    NoVortexError, ZipEstimate,
+                                    _reference_peak, calibrate,
                                     estimate_state, extract_zip,
                                     reconstruct_mixed)
 from vortexscope.imaging import (IntensityImage, SensorConfig,
                                  add_shot_noise, fast_sensor, experiment_ccd,
-                                 render)
-from vortexscope.polarization import BlochVector, QubitState, fidelity
+                                 read_image, render, write_image)
+from vortexscope.polarization import (BlochVector, QubitState, fidelity,
+                                      infinity_path)
 from vortexscope.probefield import (ProbeConfig, approx_field, exact_field,
                                     lg_field, mixed_exact_field)
 from vortexscope.weakvalue import SOUTH_POLE, stereographic_project
@@ -148,6 +150,53 @@ class TestExtractZip:
         err = np.hypot(zip_est.position[0] - target[0],
                        zip_est.position[1] - target[1])
         assert err < sensor.pixel_pitch
+
+
+SPIKE_PROBE = ProbeConfig(w0=W0, g=0.1)
+
+
+def noisy_infinity_frames(budget, count=4):
+    """Noisy 512² frames along the figure-eight, noise seed = index."""
+    sensor = fast_sensor(W0)
+    return [add_shot_noise(render(exact_field(SPIKE_PROBE, state), sensor),
+                           budget, seed=index)
+            for index, state in enumerate(infinity_path(count))]
+
+
+class TestLoneSpike:
+    @pytest.mark.parametrize("k", [5, 100])
+    def test_lone_spike_reads_the_unspiked_state(self, k):
+        # one hot pixel at k times the frame's peak count, placed at random
+        positions = np.random.default_rng(11).integers(0, 512, (4, 2))
+        for frame, (row, col) in zip(noisy_infinity_frames(1e6), positions):
+            pixels = frame.stored.copy()
+            pixels[row, col] = k * pixels.max()
+            spiked = IntensityImage(pixels, frame.sensor, frame.provenance)
+            assert extract_zip(spiked, 0.1) == extract_zip(frame, 0.1)
+
+    @pytest.mark.parametrize("budget", [1e4, 1e6])
+    def test_unspiked_noisy_frames_drop_no_pixel(self, budget):
+        for frame in noisy_infinity_frames(budget, count=8):
+            assert _reference_peak(frame) == (frame.max_intensity(), 0)
+
+    def test_clean_ccd_frame_drops_no_pixel(self, tmp_path):
+        frame = render(exact_field(SPIKE_PROBE, QubitState(1.0, 0.4)),
+                       experiment_ccd())
+        write_image(frame, tmp_path / "frame.pgm")
+        for img in (frame, read_image(tmp_path / "frame.pgm")):
+            assert _reference_peak(img) == (img.max_intensity(), 0)
+            assert extract_zip(img).threshold_used == \
+                0.01 * img.max_intensity()
+
+    def test_refusal_names_the_dropped_pixels(self):
+        # a Gaussian spot with no core, and two hot pixels above it
+        sensor = fast_sensor(W0, pixels=128)
+        xg, yg = np.meshgrid(*sensor.axes())
+        pixels = np.round(50 * np.exp(-(xg ** 2 + yg ** 2) / (2 * W0 ** 2)))
+        pixels[10, 20] = pixels[90, 100] = 500.0
+        with pytest.raises(NoVortexError,
+                           match=r"left out of the peak: 2\)"):
+            extract_zip(IntensityImage(pixels, sensor))
 
 
 def full_frame_extract_zip(img, threshold_fraction):
