@@ -185,7 +185,8 @@ def _frames(build, probe, sources, postselections, sensor, noise, subject):
     its rendered frame, with noise drawn on frame
     index * len(postselections) + p_index.  An unlit or non-finite frame is
     a ConfigError naming the subject and g_mm (a vortex displaced off the
-    sensor, or the weak-limit Gaussian of a large complex shift).  Callers
+    sensor, or the weak-limit Gaussian of a large complex shift), and so is
+    a noise draw with a count above 16 bits, naming the subject.  Callers
     keep no frame past their loop body, so this loop alone holds the last
     frame: a clean one until the next render starts, a noisy one until the
     next render ends, before its draw.  malloc then reuses the frame's
@@ -206,9 +207,10 @@ def _frames(build, probe, sources, postselections, sensor, noise, subject):
                 raise ConfigError(f"{named}: the frame renders {fault} on "
                                   f"the sensor (g_mm = {probe.g!r})")
             if noise is not None:
-                image = imaging.add_shot_noise(
-                    image, noise["photon_budget"], noise["seed"],
-                    frame=index * len(postselections) + p_index)
+                with _config_errors(named):
+                    image = imaging.add_shot_noise(
+                        image, noise["photon_budget"], noise["seed"],
+                        frame=index * len(postselections) + p_index)
             yield index, p_index, field, image
 
 
@@ -296,12 +298,18 @@ def cmd_estimate(args) -> int:
     with _config_errors("--postselect"):
         postselection = parse_postselection(
             [float(t) for t in args.postselect.split(",")])
+    flag = [postselection.x, postselection.y, postselection.z]
     rows = []
     fidelities = []
     failures = 0
     for path in args.images:
         try:
             image = imaging.read_image(path)
+            recorded = image.provenance.get("postselection", flag)
+            with _config_errors(f"{path}: provenance 'postselection'"):
+                gap = parse_postselection(recorded).as_array() - flag
+                if np.abs(gap).max() > 1e-9:
+                    raise ValueError(f"{recorded} is not --postselect {flag}")
             zip_est = estimation.extract_zip(
                 image, threshold_fraction=args.threshold_fraction)
             w = calibration.unapply(zip_est.position)
@@ -319,16 +327,14 @@ def cmd_estimate(args) -> int:
                          fid, ""))
         except (ValueError, OSError) as bad:
             failures += 1
-            rows.append((path, "", "", "", "", "", "", "", "", "", "",
-                         f"error: {bad}"))
+            rows.append((path, *[""] * 10, f"error: {bad}"))
     header = ["file", "zip_x_mm", "zip_y_mm", "w_re", "w_im", "theta_est",
               "phi_est", "x", "y", "z", "fidelity", "error"]
     out = args.out or "estimates.csv"
     _write_csv(out, header, rows,
                provenance={"command": "estimate",
                            "calibration": calibration.to_json(),
-                           "postselection": [postselection.x, postselection.y,
-                                             postselection.z],
+                           "postselection": flag,
                            "threshold_fraction": args.threshold_fraction})
     if fidelities:
         print(f"mean fidelity over {len(fidelities)} references: "

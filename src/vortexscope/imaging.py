@@ -83,12 +83,13 @@ class IntensityImage:
     """Nonnegative pixel grid with sensor geometry and provenance record.
 
     `stored` holds float intensities, or native uint16 counts worth `scale`
-    each, as a graymap keeps them; float intensities take scale 1.  Counts
-    are never NaN or negative, so only float intensities are scanned: one
-    unsigned max over their bit patterns both validates the frame and gives
-    its peak.  The frame is scanned in row bands on the shared pool, and the
-    peak is the max of the bands' maxima.  The peak is taken once, at
-    construction, so `stored` and `pixels` are read-only views.
+    each, as a graymap and a shot-noise draw keep them; float intensities
+    take scale 1.  Counts are never NaN or negative, so only float
+    intensities are scanned: one unsigned max over their bit patterns both
+    validates the frame and gives its peak.  The frame is scanned in row
+    bands on the shared pool, and the peak is the max of the bands' maxima.
+    The peak is taken once, at construction, so `stored` and `pixels` are
+    read-only views.
     """
 
     stored: np.ndarray
@@ -267,7 +268,8 @@ def checked_seed(value) -> int:
 
 def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
                    frame: int = 0) -> IntensityImage:
-    """Replace pixels by Poisson counts with expected total = photon_budget.
+    """Replace pixels by Poisson counts with expected total = photon_budget,
+    as uint16 counts at scale 1; a count above 65535 is a ValueError.
 
     Block b of BLOCK_ROWS rows of frame `frame` in run `seed` draws from
     Generator(SFC64(SeedSequence(seed, spawn_key=(frame, b)))).  The blocks
@@ -283,17 +285,22 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
     if total <= 0:
         raise ValueError("cannot scale a zero image to a photon budget")
     scale = photon_budget / total
-    counts = np.empty(img.pixels.shape)
+    counts = np.empty(img.pixels.shape, np.uint16)
     streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(
         -(-img.sensor.height // BLOCK_ROWS))
 
     def draw(start, stop):
-        # each run scales its own blocks into the output, then draws on them
+        # one reused float block of means per run; each draw is cast to uint16
+        block = np.empty((BLOCK_ROWS, img.sensor.width))
         for i in range(start, stop, BLOCK_ROWS):
-            rows = counts[i:i + BLOCK_ROWS]
-            np.multiply(img.pixels[i:i + BLOCK_ROWS], scale, out=rows)
-            rows[...] = np.random.Generator(
-                np.random.SFC64(streams[i // BLOCK_ROWS])).poisson(rows)
+            rows = img.pixels[i:i + BLOCK_ROWS]
+            mean = np.multiply(rows, scale, out=block[:len(rows)])
+            drawn = np.random.Generator(
+                np.random.SFC64(streams[i // BLOCK_ROWS])).poisson(mean)
+            if drawn.max() > _PGM_MAXVAL:
+                raise ValueError(f"photon budget {photon_budget:g} draws a "
+                                 f"count above {_PGM_MAXVAL}, past 16 bits")
+            counts[i:i + len(rows)] = drawn
 
     map_row_bands(draw, img.sensor.height)
     provenance = dict(img.provenance)
@@ -307,18 +314,6 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
 # ---------------------------------------------------------------------------
 
 _PGM_MAXVAL = 65535
-
-
-def _header_dict(img: IntensityImage, scale: float) -> dict:
-    ox, oy = img.sensor.center_offset
-    return {
-        "pixel_pitch_mm": img.sensor.pixel_pitch,
-        "width": img.sensor.width,
-        "height": img.sensor.height,
-        "origin_offset_mm": [ox, oy],
-        "intensity_scale": scale,
-        "provenance": img.provenance,
-    }
 
 
 def _parse_header(header: dict, path):
@@ -377,11 +372,10 @@ def write_image(img: IntensityImage, path) -> None:
     """Write a 16-bit binary graymap with the sensor geometry, intensity
     scale and provenance in a JSON comment.
 
-    A count frame, every pixel a whole number from 0 to 65535, keeps its
-    counts at scale 1, so it reads back as the frame that was written.
-    Any other frame is scaled to its peak.  Only a frame whose peak is such
-    a whole number is a candidate; the quantiser tests its pixels as it
-    stores them, and quantises again at peak scale if one is not whole.
+    A uint16 count frame is written as its stored counts at its own scale,
+    so it reads back as the frame that was written; no float view is made.
+    A float frame is scaled to its peak, and an all-zero one written at
+    scale 1.
 
     The file goes through rewrite_file with placeholder magic P0, which
     read_image rejects, so an interrupted rewrite never passes for an image.
@@ -392,34 +386,32 @@ def write_image(img: IntensityImage, path) -> None:
     block.
     """
     path = _graymap_path(path)
-    peak = img.max_intensity()
-    pixels = img.pixels
-    quantized = np.empty(pixels.shape, dtype=">u2")
+    stored, sensor = img.stored, img.sensor
+    if stored.dtype == np.uint16:
+        scale = img.scale
+        quantized = stored.astype(">u2", order="C")
+    else:
+        scale = img.max_intensity() / _PGM_MAXVAL or 1.0  # 1 if all zero
+        quantized = np.empty(stored.shape, dtype=">u2")
 
-    def quantize(scale, counts):
-        def run(start, stop):
+        def quantize(start, stop):
             # each run's float block is its share of one BLOCK_ROWS block
-            step = max(1, BLOCK_ROWS * (stop - start) // img.sensor.height)
-            block = np.empty((step, img.sensor.width))
+            step = max(1, BLOCK_ROWS * (stop - start) // sensor.height)
+            block = np.empty((step, sensor.width))
             for i in range(start, stop, step):
-                rows = pixels[i:min(i + step, stop)]
+                rows = stored[i:min(i + step, stop)]
                 part = block[:len(rows)]
                 np.divide(rows, scale, out=part)
                 np.rint(part, out=part)
-                if counts and not np.array_equal(part, rows):
-                    return False
                 quantized[i:i + len(rows)] = part
-            return True
-        return all(map_row_bands(run, img.sensor.height))
 
-    scale = 1.0
-    if not (peak.is_integer() and peak <= _PGM_MAXVAL and quantize(1.0, True)):
-        scale = peak / _PGM_MAXVAL
-        quantize(scale, False)
-    header = _header_dict(img, scale)
+        map_row_bands(quantize, sensor.height)
+    header = {"pixel_pitch_mm": sensor.pixel_pitch, "width": sensor.width,
+              "height": sensor.height, "origin_offset_mm": sensor.center_offset,
+              "intensity_scale": scale, "provenance": img.provenance}
     rewrite_file(path, b"P0",
-                 f"P5\n# {json.dumps(header)}\n{img.sensor.width} "
-                 f"{img.sensor.height}\n{_PGM_MAXVAL}\n".encode(), quantized)
+                 f"P5\n# {json.dumps(header)}\n{sensor.width} "
+                 f"{sensor.height}\n{_PGM_MAXVAL}\n".encode(), quantized)
 
 
 def read_image(path) -> IntensityImage:

@@ -261,7 +261,8 @@ class TestEstimate:
         cfg = base_config(tmp_path,
                           sensor={"pixel_pitch_mm": 8.0 / 512,
                                   "width": 512, "height": 512},
-                          states={"kind": "equator", "steps": steps})
+                          states={"kind": "equator", "steps": steps},
+                          postselections=[list(postselect)])
         out = tmp_path / "sim"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         return sorted(str(p) for p in out.glob("img_*.pgm"))
@@ -305,11 +306,39 @@ class TestEstimate:
         cal = write_calibration(tmp_path)
         out_csv = tmp_path / "est.csv"
         assert main(["estimate", "--cal", cal, "--postselect", "0,1,0",
-                     "--out", str(out_csv), *images]) == EXIT_OK
-        # the fidelity column is scored against the provenance truth, so a
-        # mislabeled post-selection shows up as a systematic miss
-        fidelities = [float(row.split(",")[10]) for row in csv_lines(out_csv)[1:]]
-        assert np.mean(fidelities) < 0.9
+                     "--out", str(out_csv), *images]) == EXIT_ESTIMATION
+        # each frame records its post-selection, so a mislabeled one is
+        # refused, never read as a plausible state
+        rows = csv_lines(out_csv)[1:]
+        assert len(rows) == 12
+        assert all("provenance 'postselection': [0.0, 0.0, -1.0] is not "
+                   "--postselect [0.0, 1.0, 0.0]" in row for row in rows)
+
+    def test_frame_is_read_with_its_recorded_postselection(self, tmp_path):
+        f = [0.0, 0.3, -0.954]
+        images = self.simulate_sweep(tmp_path, steps=6, postselect=f)
+        cal = write_calibration(tmp_path)
+        out_csv = tmp_path / "est.csv"
+
+        def estimate(postselect, frames):
+            return main(["estimate", "--cal", cal, "--postselect", postselect,
+                         "--out", str(out_csv), *frames])
+
+        assert estimate("0,0,-1", images) == EXIT_ESTIMATION
+        rows = csv_lines(out_csv)[1:]
+        assert len(rows) == 6 and all(
+            "'postselection': [0.0, 0.2999" in row
+            and "is not --postselect [0.0, 0.0, -1.0]" in row for row in rows)
+        assert estimate(",".join(map(str, f)), images) == EXIT_OK
+        fidelities = [float(row.split(",")[10])
+                      for row in csv_lines(out_csv)[1:]]
+        assert min(fidelities) > 0.999
+        # a frame that records no post-selection is read with the flag's
+        image = read_image(images[0])
+        del image.provenance["postselection"]
+        imaging.write_image(image, images[0])
+        assert estimate("0,0,-1", images[:1]) == EXIT_OK
+        assert csv_lines(out_csv)[1].endswith(",")
 
     def test_empty_image_list_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -711,6 +740,25 @@ def test_bad_photon_budget_is_config_error(tmp_path, capsys, command, budget):
     assert main([command, "--config", cfg, "--out",
                  str(tmp_path / "o")]) == EXIT_CONFIG
     assert "noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomo"])
+def test_count_above_sixteen_bits_is_config_error(tmp_path, capsys, command):
+    states = ({"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4}
+              if command == "tomo" else
+              {"kind": "explicit", "theta": np.pi / 2, "phi": 0.0})
+    cfg = base_config(tmp_path, states=states,
+                      sensor={"pixel_pitch_mm": 8.0 / 128, "width": 128,
+                              "height": 128},
+                      postselections=[[0, 0, -1], [0, 0, 1]],
+                      noise={"photon_budget": 1e10, "seed": 1})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert "state" in err and "post-selection 0" in err
+    assert "photon budget 1e+10" in err and "65535" in err
+    assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64],

@@ -194,6 +194,10 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             add_shot_noise(self.img, 0.0, seed=1)
 
+    def test_count_above_sixteen_bits_is_refused(self):
+        with pytest.raises(ValueError, match=r"photon budget 1e\+10 .* 65535"):
+            add_shot_noise(self.img, 1e10, seed=1)
+
     @pytest.mark.parametrize("budget", [-1.0, np.nan, np.inf, 1e300])
     def test_unusable_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="photon budget"):
@@ -231,7 +235,8 @@ class TestNoiseStreams:
     @pytest.mark.parametrize("frame", [0, 5])
     def test_default_pool_matches_serial_reference(self, frame):
         noisy = add_shot_noise(self.img, 1e6, seed=11, frame=frame)
-        assert np.array_equal(noisy.pixels,
+        assert noisy.stored.dtype == np.uint16 and noisy.scale == 1.0
+        assert np.array_equal(noisy.stored,
                               banded_reference(self.img, 1e6, 11, frame))
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -625,6 +630,14 @@ class TestFrameMemory:
         payload = img.pixels.size * 2
         block = BLOCK_ROWS * img.sensor.width * 8
         assert peak <= payload + block + self.MIB
+
+    def test_rewriting_a_read_frame_allocates_only_its_payload(self, tmp_path):
+        first, second = tmp_path / "first.pgm", tmp_path / "second.pgm"
+        write_image(render(self.field, experiment_ccd()), first)
+        img = read_image(first)
+        _, peak = traced_peak(lambda: write_image(img, second))
+        assert peak <= img.stored.size * 2 + self.MIB
+        assert second.read_bytes() == first.read_bytes()
 
     def test_read_and_extract_zip_stay_below_one_float_frame(self, tmp_path):
         path = tmp_path / "img.pgm"
