@@ -245,8 +245,9 @@ def text(section: dict, key: str, default=None) -> str:
     return value
 
 
-# No pixel's Poisson mean exceeds the budget; numpy's sampler rejects means
-# above about 9.2e18.
+# No pixel's Poisson mean exceeds the budget, and numpy rejects means above
+# about 9.2e18.  The frame sets the working range, far lower: add_shot_noise
+# refuses a draw of more than 65535 photons (one uint16 count) in a pixel.
 MAX_PHOTON_BUDGET = 1e18
 
 
@@ -301,6 +302,7 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
                 raise ValueError(f"photon budget {photon_budget:g} draws a "
                                  f"count above {_PGM_MAXVAL}, past 16 bits")
             counts[i:i + len(rows)] = drawn
+            del drawn  # free this draw before the next block's is made
 
     map_row_bands(draw, img.sensor.height)
     provenance = dict(img.provenance)

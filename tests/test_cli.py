@@ -313,6 +313,17 @@ class TestEstimate:
         assert len(rows) == 12
         assert all("provenance 'postselection': [0.0, 0.0, -1.0] is not "
                    "--postselect [0.0, 1.0, 0.0]" in row for row in rows)
+        # frames that record none are read with the flag's, and the fidelity
+        # column, scored against the provenance truth, shows the mislabeled
+        # post-selection as a systematic miss
+        for path in images:
+            image = read_image(path)
+            del image.provenance["postselection"]
+            imaging.write_image(image, path)
+        assert main(["estimate", "--cal", cal, "--postselect", "0,1,0",
+                     "--out", str(out_csv), *images]) == EXIT_OK
+        fidelities = [float(row.split(",")[10]) for row in csv_lines(out_csv)[1:]]
+        assert np.mean(fidelities) < 0.9
 
     def test_frame_is_read_with_its_recorded_postselection(self, tmp_path):
         f = [0.0, 0.3, -0.954]

@@ -650,5 +650,6 @@ class TestFrameMemory:
         img = render(self.field, experiment_ccd())
         workers = probefield._band_pool()._max_workers
         noisy, peak = traced_peak(lambda: add_shot_noise(img, 1e6, seed=2))
+        # each worker holds one float block of means and one int64 draw
         band = BLOCK_ROWS * img.sensor.width * 8
-        assert peak <= noisy.pixels.nbytes + workers * band + self.MIB
+        assert peak <= noisy.stored.nbytes + 2 * workers * band + self.MIB
