@@ -126,16 +126,13 @@ def _lone_spikes(pixels):
 
 def _reference_peak(img: IntensityImage):
     """(peak, dropped): the brightest intensity that is not a lone spike,
-    and how many lone spikes lie above it.  Only the first brightest pixel
-    is tested, in its 3x3 window, unless it is a spike itself.  It is found
-    row by row: argmax copies a read-only frame whole."""
-    stored = img.stored
-    i = int(stored.max(axis=1).argmax())
-    j = int(stored[i].argmax())
+    and how many lone spikes lie above it.  Only the frame's peak pixel is
+    tested, in its 3x3 window, unless it is a spike itself."""
+    i, j = img.peak_pixel
     top, left = max(i - 1, 0), max(j - 1, 0)
-    window = stored[top:i + 2, left:j + 2] * img.scale
+    window = img.stored[top:i + 2, left:j + 2] * img.scale
     if not _lone_spikes(window)[i - top, j - left]:
-        return float(window[i - top, j - left]), 0
+        return img.max_intensity(), 0
     pixels = img.pixels
     spikes = _lone_spikes(pixels)
     peak = float(pixels.max(where=~spikes, initial=0.0))

@@ -85,18 +85,19 @@ class IntensityImage:
     `stored` holds float intensities, or native uint16 counts worth `scale`
     each, as a graymap and a shot-noise draw keep them; float intensities
     take scale 1.  Counts are never NaN or negative, so only float
-    intensities are scanned: one unsigned max over their bit patterns both
-    validates the frame and gives its peak.  The frame is scanned in row
-    bands on the shared pool, and the peak is the max of the bands' maxima.
-    The peak is taken once, at construction, so `stored` and `pixels` are
-    read-only views.
+    intensities are scanned: one unsigned argmax over their bit patterns
+    both validates the frame and finds its peak.  The frame is scanned in
+    row bands on the shared pool, and the peak is the first band's argmax
+    among those of the largest pattern.  `peak_pixel`, (row, column), is
+    the first brightest pixel in row-major order.  It is found once, at
+    construction, so `stored` and `pixels` are read-only views.
     """
 
     stored: np.ndarray
     sensor: SensorConfig
     provenance: dict = field(default_factory=dict)
     scale: float = 1.0
-    _peak: float = field(init=False, repr=False)
+    peak_pixel: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         stored = np.asarray(self.stored)
@@ -108,7 +109,7 @@ class IntensityImage:
             if not 0 < self.scale * _PGM_MAXVAL < np.inf:
                 raise ImageFormatError(f"count scale must be positive and "
                                        f"finite at full scale, got {self.scale}")
-            peak = float(stored.max()) * self.scale
+            peak = int(stored.argmax())
         else:
             stored = stored.astype(float, copy=False)
             if self.scale != 1.0:
@@ -117,22 +118,23 @@ class IntensityImage:
             # below +inf's; NaN, inf and every negative value, -0.0 too, lie
             # at or above it.  Below it, the largest pattern is the peak.
             bits = stored.view(np.uint64)
-            top = max(map_row_bands(
-                lambda start, stop: bits[start:stop].max(), len(bits)))
-            if top < _INF_BITS:
-                peak = float(top.view(np.float64))
-            else:
+            width = self.sensor.width
+            peak = max(map_row_bands(
+                lambda start, stop: start * width + int(bits[start:stop].argmax()),
+                len(bits)), key=lambda k: bits[divmod(k, width)])
+            if bits[divmod(peak, width)] >= _INF_BITS:
                 # refuse, or accept -0.0: two reductions, no temporaries;
-                # min() is NaN if any pixel is NaN
-                peak = float(stored.max())
-                if not (stored.min() >= 0 and peak < np.inf):
+                # argmax stops at the first NaN, and min() is NaN if any is
+                peak = int(stored.argmax())
+                if not (stored.min() >= 0
+                        and stored[divmod(peak, width)] < np.inf):
                     raise ImageFormatError(
                         "pixel intensities must be finite and nonnegative: "
                         "found NaN/inf or a negative value")
         stored = stored.view()
         stored.flags.writeable = False
         object.__setattr__(self, "stored", stored)
-        object.__setattr__(self, "_peak", peak)
+        object.__setattr__(self, "peak_pixel", divmod(peak, self.sensor.width))
 
     @functools.cached_property
     def pixels(self) -> np.ndarray:
@@ -145,7 +147,7 @@ class IntensityImage:
         return view
 
     def max_intensity(self) -> float:
-        return self._peak
+        return float(self.stored[self.peak_pixel]) * self.scale
 
 
 def render(field, sensor: SensorConfig) -> IntensityImage:
