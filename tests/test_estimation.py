@@ -163,14 +163,23 @@ def noisy_infinity_frames(budget, count=4):
             for index, state in enumerate(infinity_path(count))]
 
 
+# offsets of a hot cluster's pixels from its first one
+CLUSTERS = {"lone": [(0, 0)], "pair": [(0, 0), (0, 1)],
+            "L": [(0, 0), (0, 1), (1, 0)], "line": [(0, 0), (0, 1), (0, 2)]}
+
+
 class TestLoneSpike:
-    @pytest.mark.parametrize("k", [5, 100])
-    def test_lone_spike_reads_the_unspiked_state(self, k):
-        # one hot pixel at k times the frame's peak count, placed at random
+    @pytest.mark.parametrize("shape, k", [
+        *(pytest.param("lone", k, id=str(k)) for k in (5, 100)),
+        *(pytest.param(shape, k, id=f"{shape}-{k}")
+          for shape in ("pair", "L", "line") for k in (4, 5, 8, 100))])
+    def test_lone_spike_reads_the_unspiked_state(self, shape, k):
+        # hot pixels at k times the frame's peak count, placed at random
         positions = np.random.default_rng(11).integers(0, 512, (4, 2))
         for frame, (row, col) in zip(noisy_infinity_frames(1e6), positions):
             pixels = frame.stored.copy()
-            pixels[row, col] = k * pixels.max()
+            for dr, dc in CLUSTERS[shape]:
+                pixels[row + dr, col + dc] = k * frame.stored.max()
             spiked = IntensityImage(pixels, frame.sensor, frame.provenance)
             assert extract_zip(spiked, 0.1) == extract_zip(frame, 0.1)
 

@@ -12,9 +12,10 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from vortexscope import cli
-from vortexscope.estimation import (AmbiguousVortexError, Calibration,
-                                    EstimationError, NoVortexError,
-                                    ZipEstimate, extract_zip,
+from vortexscope.estimation import (SPIKE_MARGIN, AmbiguousVortexError,
+                                    Calibration, EstimationError,
+                                    NoVortexError, ZipEstimate,
+                                    _reference_peak, extract_zip,
                                     reconstruct_mixed)
 from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, integer, read_image, real,
@@ -659,3 +660,97 @@ def test_float_frame_check_matches_two_reductions(frame):
     assert expected_refusal is None
     assert bits(image.max_intensity()) == bits(expected_peak)
     assert np.array_equal(image.pixels, frame)
+
+
+# ---------------------------------------------------------------------------
+# The peak pixel, and the reference peak that leaves hot pixels out
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tied_frames(draw):
+    """(frame, scale): uint16 counts at any scale, or float intensities at
+    scale 1, over so few values that peaks tie; zeros may be -0.0."""
+    height, width = draw(shapes)
+    if draw(st.booleans()):
+        frame = draw(arrays(np.uint16, (height, width),
+                            elements=st.integers(0, 3), fill=st.just(0)))
+        return frame, draw(st.floats(1e-3, 1e3))
+    frame = draw(arrays(np.float64, (height, width),
+                        elements=st.sampled_from([0.0, -0.0, 0.5, 2.0]),
+                        fill=st.sampled_from([0.0, -0.0])))
+    return frame, 1.0
+
+
+def zeros_with(value, *places, dtype=float):
+    frame = np.zeros((16, 16), dtype)
+    for place in places:
+        frame[place] = value
+    return frame
+
+
+@example((zeros_with(0), 1.0))  # all zero
+@example((zeros_with(0, dtype=np.uint16), 0.5))
+@example((zeros_with(-0.0, (0, 0), (3, 4)), 1.0))
+@example((zeros_with(2.0, (5, 7), (2, 9), (2, 3)), 1.0))  # a tie
+@example((zeros_with(3, (9, 1), (4, 15), dtype=np.uint16), 0.25))
+@given(tied_frames())
+def test_peak_pixel_is_the_first_brightest_in_row_major_order(case):
+    frame, scale = case
+    height, width = frame.shape
+    image = IntensityImage(frame, SensorConfig(0.1, width, height),
+                           scale=scale)
+    values = frame.ravel().astype(float)
+    first = int(np.flatnonzero(values == values.max())[0])
+    assert image.peak_pixel == divmod(first, width)
+    assert bits(image.max_intensity()) == bits(
+        float(frame[image.peak_pixel]) * scale)
+
+
+def ring_rule_reference(pixels):
+    """(peak, dropped) by brute force: the largest pixel no brighter than
+    2 n + 3 sqrt(n) + SPIKE_MARGIN, n its brightest pixel at Chebyshev
+    distance 3 with off-frame pixels 0, and how many lie above it."""
+    height, width = pixels.shape
+    padded = np.pad(pixels, 3)
+    n = np.zeros(pixels.shape)
+    for dr in range(-3, 4):
+        for dc in range(-3, 4):
+            if max(abs(dr), abs(dc)) == 3:
+                n = np.maximum(n, padded[3 + dr:3 + dr + height,
+                                         3 + dc:3 + dc + width])
+    hot = pixels > 2 * n + 3 * np.sqrt(n) + SPIKE_MARGIN
+    peak = float(np.max(pixels[~hot], initial=0.0))
+    return peak, int(np.count_nonzero(pixels[hot] > peak))
+
+
+CLUSTER_SHAPES = ([(0, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)],
+                  [(0, 0), (1, 0), (2, 0)])
+
+
+@st.composite
+def clustered_frames(draw):
+    """(frame, scale): a noisy spot with up to three planted hot clusters
+    of one to three pixels, as counts at a random scale or as floats."""
+    height, width = draw(shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = np.ogrid[:height, :width]
+    mean = draw(st.floats(0.0, 200.0)) * np.exp(
+        -((rows - height / 2) ** 2 + (cols - width / 2) ** 2) / 50.0)
+    frame = rng.poisson(mean).astype(np.uint16)
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, height - 3))
+        col = draw(st.integers(0, width - 3))
+        value = draw(st.integers(0, 20000))
+        for dr, dc in draw(st.sampled_from(CLUSTER_SHAPES)):
+            frame[row + dr, col + dc] = value
+    scale = draw(st.sampled_from([1.0, 0.37, 2.5]))
+    return (frame * scale, 1.0) if draw(st.booleans()) else (frame, scale)
+
+
+@given(clustered_frames())
+def test_reference_peak_matches_the_ring_rule_by_brute_force(case):
+    frame, scale = case
+    height, width = frame.shape
+    image = IntensityImage(frame, SensorConfig(0.1, width, height),
+                           scale=scale)
+    assert _reference_peak(image) == ring_rule_reference(image.pixels)
