@@ -412,10 +412,8 @@ def cmd_centroid_check(args) -> int:
     worst = 0.0
     sign_votes = []
     print("theta,phi,g_over_w0,x_analytic,x_quadrature,y_analytic,y_quadrature,deviation")
-    # a sum that overflows or vanishes leaves a NaN row, not a numpy
-    # warning, and truncation warns even under -W error
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("default", probefield.TruncationWarning)
+    # a sum that overflows or vanishes leaves a NaN row, not a numpy warning
+    with np.errstate(all="ignore"):
         for g_ratio, probe, centroids in zip(ratios, probes, closed):
             for (theta, phi, state, w), (xa, ya) in zip(points, centroids):
                 xq, yq = probefield.centroid_by_quadrature(
@@ -508,19 +506,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _truncation_shown(filters) -> list:
+    """The warning filters with truncation shown wherever one would raise
+    it, as under -W error, so every exit code stays a documented one; an
+    ignore filter still silences it."""
+    truncation = probefield.TruncationWarning
+    shown = []
+    for action, message, category, module, lineno in filters:
+        if action == "error" and issubclass(truncation, category):
+            shown.append(("default", message, truncation, module, lineno))
+        shown.append((action, message, category, module, lineno))
+    return shown
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as bad:
-        print(f"config error: {bad}", file=sys.stderr)
-        return EXIT_CONFIG
-    except estimation.EstimationError as bad:
-        print(f"estimation failed: {bad}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except (imaging.ImageFormatError, OSError) as bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.filters[:] = _truncation_shown(warnings.filters)
+        try:
+            return args.func(args)
+        except ConfigError as bad:
+            print(f"config error: {bad}", file=sys.stderr)
+            return EXIT_CONFIG
+        except estimation.EstimationError as bad:
+            print(f"estimation failed: {bad}", file=sys.stderr)
+            return EXIT_ESTIMATION
+        except (imaging.ImageFormatError, OSError) as bad:
+            print(f"error: {bad}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

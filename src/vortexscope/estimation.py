@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .imaging import IntensityImage, real, reals
 from .polarization import BlochVector, QubitState
@@ -207,6 +206,8 @@ def _dark_core(img: IntensityImage, threshold: float) -> ZipEstimate:
     interior size, winner or candidate changes.  The average runs over the
     winner's pixels only, through the 1-D sensor axes.
     """
+    from scipy import ndimage  # loaded by the first labelling call only
+
     stored, scale = img.stored, img.scale
     limit = threshold
     if stored.dtype == np.uint16:

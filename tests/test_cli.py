@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -971,6 +972,49 @@ def test_pipeline_leaks_no_resource_and_leaves_scipy_sparse_unloaded(tmp_path):
     assert "ResourceWarning" not in done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == {"codes": [EXIT_OK] * 6, "sparse": False}
+
+
+LABEL_FREE_SCRIPT = """
+import json, sys
+from vortexscope.cli import main
+config, grid, out = sys.argv[1:]
+codes = [main(["simulate", "--config", config, "--out", out]),
+         main(["path", "equator", "--steps", "4", "--out", out + "/path.csv"]),
+         main(["centroid-check", "--grid", grid])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_that_never_label_leave_scipy_unloaded(tmp_path):
+    # scipy.ndimage alone takes most of the import time and about 27 MiB;
+    # only extract_zip's labelling imports it
+    sensor = {"pixel_pitch_mm": 8.0 / 128, "width": 128, "height": 128}
+    config = base_config(tmp_path, sensor=sensor,
+                         noise={"photon_budget": 1e6, "seed": 3})
+    grid = write_json(tmp_path / "grid.json", {
+        "thetas": [0.7], "phis": [0.9], "g_over_w0": [0.05],
+        "resolution": 64})
+    done = subprocess.run(
+        [sys.executable, "-c", LABEL_FREE_SCRIPT, config, grid,
+         str(tmp_path / "out")],
+        cwd=tmp_path, env=source_env(), capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [EXIT_OK] * 3, "scipy": []}
+
+
+def test_truncation_warns_but_exits_zero_when_warnings_are_errors(tmp_path):
+    # a 3.2 mm field of view, below the 4.1 mm the probe needs
+    config = base_config(tmp_path, sensor={"pixel_pitch_mm": 0.05,
+                                           "width": 64, "height": 64})
+    with pytest.warns(TruncationWarning, match="tails are truncated"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 TRACED_LAYERS = ("imaging.render", "imaging.add_shot_noise",
