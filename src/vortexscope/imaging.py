@@ -109,7 +109,7 @@ class IntensityImage:
             if not 0 < self.scale * _PGM_MAXVAL < np.inf:
                 raise ImageFormatError(f"count scale must be positive and "
                                        f"finite at full scale, got {self.scale}")
-            peak = int(stored.argmax())
+            peak = divmod(int(stored.argmax()), self.sensor.width)
         else:
             stored = stored.astype(float, copy=False)
             if self.scale != 1.0:
@@ -119,22 +119,21 @@ class IntensityImage:
             # at or above it.  Below it, the largest pattern is the peak.
             bits = stored.view(np.uint64)
             width = self.sensor.width
-            peak = max(map_row_bands(
-                lambda start, stop: start * width + int(bits[start:stop].argmax()),
-                len(bits)), key=lambda k: bits[divmod(k, width)])
-            if bits[divmod(peak, width)] >= _INF_BITS:
+            peak = max(map_row_bands(lambda start, stop: divmod(
+                start * width + int(bits[start:stop].argmax()), width),
+                len(bits)), key=bits.__getitem__)
+            if bits[peak] >= _INF_BITS:
                 # refuse, or accept -0.0: two reductions, no temporaries;
                 # argmax stops at the first NaN, and min() is NaN if any is
-                peak = int(stored.argmax())
-                if not (stored.min() >= 0
-                        and stored[divmod(peak, width)] < np.inf):
+                peak = divmod(int(stored.argmax()), width)
+                if not (stored.min() >= 0 and stored[peak] < np.inf):
                     raise ImageFormatError(
                         "pixel intensities must be finite and nonnegative: "
                         "found NaN/inf or a negative value")
         stored = stored.view()
         stored.flags.writeable = False
         object.__setattr__(self, "stored", stored)
-        object.__setattr__(self, "peak_pixel", divmod(peak, self.sensor.width))
+        object.__setattr__(self, "peak_pixel", peak)
 
     @functools.cached_property
     def pixels(self) -> np.ndarray:
