@@ -704,6 +704,7 @@ def test_peak_pixel_is_the_first_brightest_in_row_major_order(case):
     assert image.peak_pixel == divmod(first, width)
     assert bits(image.max_intensity()) == bits(
         float(frame[image.peak_pixel]) * scale)
+    assert image.max_intensity() == values.max() * scale
 
 
 def ring_rule_reference(pixels):
