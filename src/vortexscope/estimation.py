@@ -334,7 +334,9 @@ def calibrate(references) -> tuple:
 # Mixed-state reconstruction
 # ---------------------------------------------------------------------------
 
-# reconstruct_mixed refuses normal matrices of larger condition number
+# reconstruct_mixed refuses lines whose stacked projectors A have
+# (sigma_1 / sigma_3)**2 above this, the condition number of the normal
+# matrix A^T A, or sigma_3 = 0
 CONDITION_LIMIT = 1e8
 
 
@@ -346,34 +348,30 @@ def reconstruct_mixed(observations) -> ReconstructionResult:
     Bloch vector of the measured state lies on every line through the pole
     -f and that plane's projection point, so the closest point to all lines
     recovers it; their RMS distance from it, unitless, is the residual.
+    One lstsq over the stacked projectors I - d d^T gives the point, the
+    residual and the singular values that decide the refusal.  A point
+    more than 1e-6 outside the ball is flagged `clipped`.
     """
     if len(observations) < 2:
         raise ValueError("need at least two observations")
-    poles, dirs = [], []
-    for zip_estimate, calibration, postselection in observations:
-        pole, plane_point = projection_line(
-            calibration.unapply(zip_estimate.position), postselection)
-        direction = plane_point - pole
-        poles.append(pole)
-        dirs.append(direction / np.linalg.norm(direction))
-    normal = np.zeros((3, 3))
-    rhs = np.zeros(3)
-    for pole, direction in zip(poles, dirs):
-        proj = np.eye(3) - np.outer(direction, direction)
-        normal += proj
-        rhs += proj @ pole
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        overlaps = [(abs(float(dirs[i] @ dirs[j])), i, j)
-                    for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
-        _, i, j = max(overlaps)
+    poles, plane_points = np.swapaxes([projection_line(
+        calibration.unapply(zip_estimate.position), postselection)
+        for zip_estimate, calibration, postselection in observations], 0, 1)
+    dirs = plane_points - poles
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    projectors = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
+    point, sum_sq, _, sigma = np.linalg.lstsq(
+        projectors.reshape(-1, 3), (projectors @ poles[:, :, None]).ravel(),
+        rcond=None)
+    if sigma[2] == 0 or (sigma[0] / sigma[2]) ** 2 > CONDITION_LIMIT:
+        # the last of the largest overlaps in (i, j) order names the pair
+        overlaps = np.triu(np.abs(dirs @ dirs.T), 1).ravel()
+        i, j = divmod(overlaps.size - 1 - int(np.argmax(overlaps[::-1])),
+                      len(dirs))
         raise DegenerateGeometryError(
             f"reconstruction lines {i} and {j} are (near-)parallel; "
             "add a post-selection on another axis")
-    point = np.linalg.solve(normal, rhs)
-    dists = [np.linalg.norm((point - pole) - ((point - pole) @ d) * d)
-             for pole, d in zip(poles, dirs)]
-    residual = float(np.sqrt(np.mean(np.square(dists))))
+    residual = float(np.sqrt(sum_sq[0] / len(observations)))
     norm = np.linalg.norm(point)
     clipped = bool(norm > 1.0 + 1e-6)
     if norm > 1.0:

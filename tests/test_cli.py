@@ -30,6 +30,10 @@ def write_json(path, payload):
     return str(path)
 
 
+# an override that leaves its key out of the config
+OMIT = object()
+
+
 def base_config(tmp_path, **overrides):
     cfg = {
         "probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 1},
@@ -39,7 +43,9 @@ def base_config(tmp_path, **overrides):
         "noise": None,
     }
     cfg.update(overrides)
-    return write_json(tmp_path / "config.json", cfg)
+    return write_json(tmp_path / "config.json",
+                      {key: value for key, value in cfg.items()
+                       if value is not OMIT})
 
 
 def csv_lines_of(text):
@@ -373,6 +379,9 @@ class TestEstimate:
         ("origin_offset_mm", [], "origin_offset_mm"),
         ("pixel_pitch_mm", "x", "pixel_pitch_mm"),
         ("size line", b"wide 256", "width"),
+        ("maxval line", b"255", "expected 16-bit maxval 65535, got 255"),
+        ("comment line", b"# made by hand", "missing provenance comment"),
+        ("end", None, "truncated header"),
     ])
     def test_malformed_pgm_header_is_error_row(self, tmp_path, key, value,
                                                named):
@@ -380,19 +389,23 @@ class TestEstimate:
         assert main(["simulate", "--config", base_config(tmp_path),
                      "--out", str(out)]) == EXIT_OK
         path = out / "img_0000_0.pgm"
-        magic, comment, size, rest = path.read_bytes().split(b"\n", 3)
-        if key == "size line":
-            size = value
+        lines = dict(zip(["magic", "comment line", "size line", "maxval line",
+                          "payload"], path.read_bytes().split(b"\n", 4)))
+        if key == "end":  # the file ends after the comment line
+            del lines["size line"], lines["maxval line"]
+            lines["payload"] = b""
+        elif key in lines:
+            lines[key] = value
         else:
-            header = json.loads(comment[1:])
+            header = json.loads(lines["comment line"][1:])
             header[key] = value
-            comment = b"# " + json.dumps(header).encode()
-        path.write_bytes(b"\n".join([magic, comment, size, rest]))
+            lines["comment line"] = b"# " + json.dumps(header).encode()
+        path.write_bytes(b"\n".join(lines.values()))
         out_csv = tmp_path / "est.csv"
         assert main(["estimate", "--cal", write_calibration(tmp_path),
                      "--postselect", "0,0,-1", "--out", str(out_csv),
                      str(path)]) == EXIT_ESTIMATION
-        error = csv_lines(out_csv)[1].split(",")[-1]
+        error = list(csv.reader(csv_lines(out_csv)))[1][-1]
         assert error.startswith(f"error: {path}:")
         assert named in error
 
@@ -826,13 +839,23 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
                          "z": 0.0}}, [], "'states'"),
     ("tomo", {"states": {"kind": "bloch", "x": 0.0, "y": 0.0, "z": 1.0}}, [],
      "Bloch state at post-selection 0"),
+    # no sensor renders the default 1024² CCD, too bright for 16-bit counts
+    ("simulate", {"sensor": OMIT, "noise": {"photon_budget": 1e12,
+                                            "seed": 1}}, [],
+     "state 0, post-selection 0: photon budget 1e+12 draws a count above"),
+    ("simulate", {}, ["--seed", "3"], "--seed given but config has no noise"),
+    ("simulate", {"mode": "bogus"}, [], "mode must be 'exact' or 'approx'"),
+    ("tomo", {"states": {"kind": "explicit", "theta": 1.0, "phi": 0.0}}, [],
+     "'tomo' expects a Bloch-vector state source"),
 ], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
         "tomo-inf-postselection", "postselections-not-a-list",
         "postselections-empty", "postselections-a-string",
         "approx-at-pole", "exact-with-l2", "steps-not-a-number",
         "fractional-steps", "fractional-l", "whole-float-l", "fractional-width",
         "string-height",
-        "theta-not-a-number", "nan-phi", "nan-bloch", "state-at-pole"])
+        "theta-not-a-number", "nan-phi", "nan-bloch", "state-at-pole",
+        "default-sensor-overflows", "seed-without-noise", "bogus-mode",
+        "tomo-pure-source"])
 def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
                                       flags, named):
     scenario = ({"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
@@ -844,11 +867,16 @@ def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "tomo"])
-def test_config_must_be_an_object(tmp_path, capsys, command):
-    cfg = write_json(tmp_path / "config.json", 5)
-    assert main([command, "--config", cfg]) == EXIT_CONFIG
-    assert "JSON object" in capsys.readouterr().err
+@pytest.mark.parametrize("command, text, named", [
+    ("simulate", "5", "JSON object"),
+    ("tomo", "5", "JSON object"),
+    ("simulate", "{probe: 1}", "is not valid JSON"),
+], ids=["simulate", "tomo", "not-json"])
+def test_config_must_be_an_object(tmp_path, capsys, command, text, named):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
 
 
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):
@@ -1142,8 +1170,10 @@ class TestCentroidCheck:
         ("thetas", 0.5),
         ("thetas", [0.0]),
         ("thetas", [2.0]),
+        ("resolution", 32),
     ], ids=["fractional-resolution", "string-resolution", "nan-w0",
-            "string-w0", "scalar-thetas", "pole-theta", "theta-past-half-pi"])
+            "string-w0", "scalar-thetas", "pole-theta", "theta-past-half-pi",
+            "small-resolution"])
     def test_malformed_grid_field_is_config_error(self, tmp_path, capsys,
                                                   field, value):
         grid = {"thetas": [np.pi / 4], "phis": [0.9], "g_over_w0": [0.05],

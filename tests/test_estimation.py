@@ -74,6 +74,12 @@ class TestExtractZip:
         with pytest.raises(NoVortexError):
             extract_zip(img)
 
+    def test_unlit_image_has_no_vortex(self):
+        sensor = SensorConfig(pixel_pitch=0.1, width=32, height=32)
+        img = IntensityImage(np.zeros((32, 32)), sensor)
+        with pytest.raises(NoVortexError, match="no positive intensity"):
+            extract_zip(img)
+
     def test_plain_gaussian_has_no_vortex(self):
         # dark pixels exist only at the border: no interior component
         sensor = fast_sensor(W0, pixels=128)
@@ -436,6 +442,14 @@ class TestCalibration:
             calibrate([(img, QubitState(np.pi / 4, 0)),
                        (img, QubitState(np.pi / 4, 0))])
 
+    def test_one_image_under_two_states_rejected(self):
+        # the ZIPs coincide while the weak values differ: zero fitted scale
+        sensor = fast_sensor(W0, pixels=256)
+        img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), sensor)
+        with pytest.raises(CalibrationError, match="zero scale"):
+            calibrate([(img, QubitState(np.pi / 4, 0)),
+                       (img, QubitState(np.pi / 3, 1.0))])
+
 
 class TestReconstructMixed:
     def test_maximally_mixed_two_poles_degenerate(self):
@@ -524,15 +538,20 @@ class TestReconstructMixed:
         assert mean_errors[1] > mean_errors[0]
 
     def test_clipping_flag(self):
-        # noisy pure-state observations can push the solution outside the ball
-        r = [0.0, 0.0, -1.0]
+        # a pure state read with every weak value 5% too long crosses
+        # outside the ball, so the point is clipped back onto the sphere
+        r = BlochVector(0.6, 0.0, 0.8)
         observations = []
-        for f, eps in ((BlochVector(0, 1, 0), 0.02), (BlochVector(0, -1, 0), -0.02)):
-            w = stereographic_project(BlochVector(*r), f)
-            pos = (PROBE.g * (w.real + eps), PROBE.g * w.imag)
+        for f in (SOUTH_POLE, BlochVector(0, 0, 1),
+                  BlochVector(0, 1, 0), BlochVector(0, -1, 0)):
+            w = 1.05 * stereographic_project(r, f)
+            pos = (PROBE.g * w.real, PROBE.g * w.imag)
             observations.append((ZipEstimate(pos, 1, 1.0), IDENTITY_CAL, f))
         result = reconstruct_mixed(observations)
-        assert np.linalg.norm(result.bloch.as_array()) <= 1.0 + 1e-9
+        norm = np.linalg.norm(result.bloch.as_array())
+        assert result.clipped
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert norm <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("error", [NoVortexError, AmbiguousVortexError,

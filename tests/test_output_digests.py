@@ -30,6 +30,8 @@ from vortexscope import cli, probefield
 
 TABLE = Path(__file__).with_name("output_digests.json")
 TOKEN = "<workdir>"
+REGENERATE = ("PYTHONPATH=src python tests/test_output_digests.py "
+              "> tests/output_digests.json")
 
 PROBE = {"w0_mm": 1.0, "g_mm": 0.1, "l": 1}
 TILTED = [0.0, 0.3, -0.954]
@@ -128,7 +130,8 @@ def test_outputs_match_the_digest_table(tmp_path, monkeypatch, workers):
                    if expected["digests"].get(name) != digests.get(name))
     assert not moved, (
         f"output digests moved for {moved} (table taken with numpy "
-        f"{expected['numpy']}, running numpy {np.__version__})")
+        f"{expected['numpy']}, running numpy {np.__version__}); if they "
+        f"moved on purpose, regenerate the table with\n    {REGENERATE}")
 
 
 if __name__ == "__main__":

@@ -593,9 +593,10 @@ def test_centroid_check_fails_a_grid_past_the_float_range(tmp_path, capsys,
 # ---------------------------------------------------------------------------
 
 def two_reduction_check(pixels):
-    """(peak, None) or (None, message): one max() and one min() over the
-    frame, as IntensityImage checked float frames before."""
-    peak = float(pixels.max())
+    """(peak, None) or (None, message): the first brightest pixel in
+    row-major order, as the README defines the peak (so an all-zero peak
+    has the sign of the first zero), and one min() over the frame."""
+    peak = float(pixels.flat[pixels.argmax()])
     if not (pixels.min() >= 0 and peak < np.inf):
         return None, ("pixel intensities must be finite and nonnegative: "
                       "found NaN/inf or a negative value")
@@ -645,9 +646,17 @@ def frame_with(value):
     return frame
 
 
+def zeros_with(value, *places, dtype=float):
+    frame = np.zeros((16, 16), dtype)
+    for place in places:
+        frame[place] = value
+    return frame
+
+
 # the pattern of +inf itself, and -0.0, the one pattern above it accepted
 @example(frame_with(np.inf))
 @example(frame_with(-0.0))
+@example(zeros_with(-0.0, (0, 0)))  # a zero peak keeps the first zero's sign
 @given(float_frames())
 def test_float_frame_check_matches_two_reductions(frame):
     expected_peak, expected_refusal = two_reduction_check(frame)
@@ -679,13 +688,6 @@ def tied_frames(draw):
                         elements=st.sampled_from([0.0, -0.0, 0.5, 2.0]),
                         fill=st.sampled_from([0.0, -0.0])))
     return frame, 1.0
-
-
-def zeros_with(value, *places, dtype=float):
-    frame = np.zeros((16, 16), dtype)
-    for place in places:
-        frame[place] = value
-    return frame
 
 
 @example((zeros_with(0), 1.0))  # all zero
