@@ -80,7 +80,8 @@ class Calibration:
 
     def unapply(self, position) -> complex:
         d = complex(position[0] - self.origin[0], position[1] - self.origin[1])
-        return d * np.exp(-1j * self.orientation) / self.scale
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, for callers
+            return d * np.exp(-1j * self.orientation) / self.scale
 
     def to_json(self) -> dict:
         return {"origin_mm": list(self.origin), "scale_mm": self.scale,
@@ -288,11 +289,11 @@ MAX_WEAK_VALUE = 50.0
 def estimate_state(zip_estimate: ZipEstimate, calibration: Calibration,
                    postselection: BlochVector = SOUTH_POLE) -> QubitState:
     """Map a ZIP through the calibration to a weak value and invert the
-    projection.  Estimates beyond MAX_WEAK_VALUE are refused."""
+    projection.  Estimates beyond MAX_WEAK_VALUE, NaN too, are refused."""
     w = calibration.unapply(zip_estimate.position)
-    if abs(w) > MAX_WEAK_VALUE:
+    if not abs(w) <= MAX_WEAK_VALUE:  # NaN included
         raise NearPoleError(
-            f"|w| = {abs(w):.1f} exceeds the cap {MAX_WEAK_VALUE}; "
+            f"|w| = {abs(w):.3g} exceeds the cap {MAX_WEAK_VALUE}; "
             "the estimate is ill-conditioned this close to the pole")
     return stereographic_invert(w, postselection).to_state()
 
@@ -302,32 +303,26 @@ def calibrate(references) -> tuple:
     images of known states.
 
     Each reference is an (IntensityImage, QubitState) pair taken with the
-    default |1> post-selection.  Solves z = origin + c * w over complex
-    unknowns (origin, c); needs two distinct weak values.  Returns the
-    calibration together with the RMS position residual.
+    default |1> post-selection.  One lstsq solves z = origin + c * w over
+    complex unknowns (origin, c); its singular values refuse weak values
+    too close together to fix a scale (sigma_2 <= 1e-12 sigma_1).  Returns
+    the calibration together with the RMS position residual, 0 for two
+    references, which fit exactly.
     """
     if len(references) < 2:
         raise CalibrationError("need at least two reference images")
-    ws, zs = [], []
-    for image, state in references:
-        ws.append(stereographic_project(state))
-        zip_est = extract_zip(image)
-        zs.append(complex(*zip_est.position))
-    ws = np.array(ws)
-    zs = np.array(zs)
-    if np.max(np.abs(ws[:, None] - ws[None, :])) < 1e-12:
+    ws, zs = np.array([(stereographic_project(state),
+                        complex(*extract_zip(image).position))
+                       for image, state in references]).T
+    (origin, c), sum_sq, _, sigma = np.linalg.lstsq(
+        np.column_stack([np.ones_like(ws), ws]), zs, rcond=None)
+    if sigma[1] <= 1e-12 * sigma[0]:
         raise CalibrationError("reference weak values are all identical")
-    if np.max(np.abs(ws)) < 1e-12:
-        raise CalibrationError("need at least one reference with w != 0")
-    design = np.column_stack([np.ones_like(ws), ws])
-    coeff, *_ = np.linalg.lstsq(design, zs, rcond=None)
-    origin, c = coeff
     if abs(c) < 1e-15:
         raise CalibrationError("degenerate fit: zero scale")
     fit = Calibration(origin=(origin.real, origin.imag),
                       scale=float(abs(c)), orientation=float(np.angle(c)))
-    residual = float(np.sqrt(np.mean(np.abs(design @ coeff - zs) ** 2)))
-    return fit, residual
+    return fit, float(np.sqrt(sum_sq.sum() / len(references)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +344,23 @@ def reconstruct_mixed(observations) -> ReconstructionResult:
     -f and that plane's projection point, so the closest point to all lines
     recovers it; their RMS distance from it, unitless, is the residual.
     One lstsq over the stacked projectors I - d d^T gives the point, the
-    residual and the singular values that decide the refusal.  A point
-    more than 1e-6 outside the ball is flagged `clipped`.
+    residual and the singular values that decide the refusal.  A line whose
+    length overflows (|w| past about 1e154) is refused first, naming its
+    plane.  A point more than 1e-6 outside the ball is flagged `clipped`.
     """
     if len(observations) < 2:
         raise ValueError("need at least two observations")
-    poles, plane_points = np.swapaxes([projection_line(
-        calibration.unapply(zip_estimate.position), postselection)
-        for zip_estimate, calibration, postselection in observations], 0, 1)
-    dirs = plane_points - poles
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles, plane_points = np.swapaxes([projection_line(
+            calibration.unapply(zip_estimate.position), postselection)
+            for zip_estimate, calibration, postselection in observations], 0, 1)
+        dirs = plane_points - poles
+        lengths = np.linalg.norm(dirs, axis=1, keepdims=True)
+    far = np.flatnonzero(~np.isfinite(lengths))
+    if far.size:
+        raise NearPoleError(f"the projection line of plane {far[0]} leaves "
+                            "the float range; check its calibration")
+    dirs /= lengths
     projectors = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
     point, sum_sq, _, sigma = np.linalg.lstsq(
         projectors.reshape(-1, 3), (projectors @ poles[:, :, None]).ravel(),

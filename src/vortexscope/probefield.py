@@ -18,6 +18,7 @@ available cores, and no output byte depends on the core count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -88,28 +89,19 @@ class ProbeConfig:
 # noisy byte.
 BLOCK_ROWS = 64
 BAND_THREAD_PREFIX = "vortexscope-band"
-_band_threads = None
 
 
+@functools.cache
 def _band_pool() -> ThreadPoolExecutor:
     """The package's row-band pool, built on first use with one worker per
     CPU this process may run on.  Its tasks run numpy kernels only, and
     never submit to it."""
-    global _band_threads
-    if _band_threads is None:
-        _band_threads = ThreadPoolExecutor(
-            max_workers=len(os.sched_getaffinity(0)),
-            thread_name_prefix=BAND_THREAD_PREFIX)
-    return _band_threads
+    return ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                              thread_name_prefix=BAND_THREAD_PREFIX)
 
 
-def _forget_band_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _band_threads
-    _band_threads = None
-
-
-os.register_at_fork(after_in_child=_forget_band_pool)
+# a forked child inherits the pool object but none of its threads
+os.register_at_fork(after_in_child=_band_pool.cache_clear)
 
 
 def map_row_bands(function, rows: int) -> list:

@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -511,6 +512,26 @@ class TestEstimate:
         assert "--postselect" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("scale, shown", [(1e-310, r"inf"),
+                                              (1e-300, r"\d\.\d\de\+29\d")],
+                             ids=["overflows", "finite"])
+    def test_zip_mapped_past_the_cap_is_error_row(self, tmp_path, capsys,
+                                                  scale, shown):
+        # a valid scale so small that |w| overflows, or nearly: the row
+        # names the cap and numpy prints nothing
+        images = self.simulate_sweep(tmp_path, steps=2)
+        cal = write_json(tmp_path / "cal.json",
+                         {"origin_mm": [0, 0], "scale_mm": scale})
+        out_csv = tmp_path / "est.csv"
+        assert main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
+                     "--out", str(out_csv), *images]) == EXIT_ESTIMATION
+        rows = list(csv.DictReader(csv_lines(out_csv)))
+        for row in rows:
+            assert re.fullmatch(
+                rf"error: \|w\| = {shown} exceeds the cap 50\.0; the estimate "
+                "is ill-conditioned this close to the pole", row["error"])
+        assert capsys.readouterr().err == ""
+
     def test_all_failures_exit_nonzero(self, tmp_path):
         cal = write_calibration(tmp_path)
         assert main(["estimate", "--cal", cal, "--postselect", "0,0,-1",
@@ -561,6 +582,18 @@ class TestTomo:
                                planes=[[0, 0, -1], [0, 0, 1]])
         assert main(["tomo", "--config", cfg]) == EXIT_ESTIMATION
         assert "parallel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g", [1e-310, 1e-300])
+    def test_weak_value_past_the_float_range_is_refused(self, tmp_path,
+                                                         capsys, g):
+        cfg = base_config(
+            tmp_path, probe={"w0_mm": 1.0, "g_mm": g, "l": 1},
+            states={"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
+            postselections=[[0, 0, -1], [0, 0, 1], [0, 1, 0], [0, -1, 0]])
+        assert main(["tomo", "--config", cfg]) == EXIT_ESTIMATION
+        assert capsys.readouterr().err == (
+            "estimation failed: the projection line of plane 0 leaves the "
+            "float range; check its calibration\n")
 
     def test_needs_two_planes(self, tmp_path):
         cfg = self.tomo_config(tmp_path, planes=[[0, 0, -1]])
@@ -847,6 +880,15 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
     ("simulate", {"mode": "bogus"}, [], "mode must be 'exact' or 'approx'"),
     ("tomo", {"states": {"kind": "explicit", "theta": 1.0, "phi": 0.0}}, [],
      "'tomo' expects a Bloch-vector state source"),
+    ("simulate", {"sensor": "bogus"}, [],
+     "config field 'sensor': unknown preset 'bogus'"),
+    ("simulate", {"states": {"kind": "spiral"}}, [],
+     "config field 'states.kind': unknown kind 'spiral'"),
+    ("simulate", {"postselections": [[0, 1]]}, [],
+     "'postselections': post-selection [0, 1] is not a 3-vector"),
+    ("simulate", {"postselections": [[0, 0, 0]]}, [],
+     "'postselections': post-selection vector must be nonzero"),
+    ("simulate", {"probe": 5}, [], "'probe' must be an object"),
 ], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
         "tomo-inf-postselection", "postselections-not-a-list",
         "postselections-empty", "postselections-a-string",
@@ -855,7 +897,9 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
         "string-height",
         "theta-not-a-number", "nan-phi", "nan-bloch", "state-at-pole",
         "default-sensor-overflows", "seed-without-noise", "bogus-mode",
-        "tomo-pure-source"])
+        "tomo-pure-source", "unknown-sensor-preset", "unknown-states-kind",
+        "two-component-postselection", "zero-postselection",
+        "probe-not-an-object"])
 def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
                                       flags, named):
     scenario = ({"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},

@@ -430,6 +430,15 @@ class TestCalibration:
         assert cal.orientation == pytest.approx(np.pi / 6, abs=1e-3)
         assert cal.scale == pytest.approx(PROBE.g, rel=1e-3)
 
+    def test_two_references_fit_exactly(self):
+        sensor = fast_sensor(W0, pixels=256)
+        refs = [(render(exact_field(PROBE, state), sensor), state)
+                for state in (QubitState(np.pi / 2, 0),
+                              QubitState(np.pi / 4, 0))]
+        cal, residual = calibrate(refs)
+        assert residual == 0.0
+        assert cal.scale == pytest.approx(PROBE.g, rel=1e-2)
+
     def test_single_reference_rejected(self):
         refs = self._reference_images()[:1]
         with pytest.raises(CalibrationError):

@@ -194,6 +194,11 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             add_shot_noise(self.img, 0.0, seed=1)
 
+    def test_dark_frame_has_no_budget_scale(self):
+        dark = IntensityImage(np.zeros_like(self.img.pixels), self.img.sensor)
+        with pytest.raises(ValueError, match="zero image"):
+            add_shot_noise(dark, 1e5, seed=1)
+
     def test_count_above_sixteen_bits_is_refused(self):
         with pytest.raises(ValueError, match=r"photon budget 1e\+10 .* 65535"):
             add_shot_noise(self.img, 1e10, seed=1)
@@ -273,7 +278,7 @@ def with_pool_width(monkeypatch, workers, call):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(probefield, "_band_threads", pool)
+            monkeypatch.setattr(probefield, "_band_pool", lambda: pool)
             return call()
     finally:
         sys.setswitchinterval(interval)
@@ -324,7 +329,7 @@ class TestRowBands:
 
     def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
         with ThreadPoolExecutor(1) as pool:
-            monkeypatch.setattr(probefield, "_band_threads", pool)
+            monkeypatch.setattr(probefield, "_band_pool", lambda: pool)
             threads = threading.active_count()
             img, _ = self.render_and_write(tmp_path / "img.pgm")
             add_shot_noise(img, 1e5, seed=3)

@@ -124,7 +124,7 @@ def test_outputs_match_the_digest_table(tmp_path, monkeypatch, workers):
     with contextlib.ExitStack() as stack:
         if workers:
             pool = stack.enter_context(ThreadPoolExecutor(workers))
-            monkeypatch.setattr(probefield, "_band_threads", pool)
+            monkeypatch.setattr(probefield, "_band_pool", lambda: pool)
         digests = run_corpus(tmp_path)
     moved = sorted(name for name in expected["digests"].keys() | digests.keys()
                    if expected["digests"].get(name) != digests.get(name))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from vortexscope.polarization import (BlochVector, QubitState, apply_jones,
-                                      equator_path, fidelity, half_wave_plate,
-                                      infinity_path, quarter_wave_plate,
-                                      state_csv_row, wave_plate)
+from vortexscope.polarization import (BlochVector, JonesOperator, QubitState,
+                                      apply_jones, equator_path, fidelity,
+                                      half_wave_plate, infinity_path,
+                                      quarter_wave_plate, state_csv_row,
+                                      wave_plate)
 
 # Independent Jones oracle: explicit 2x2 arithmetic in the linear basis,
 # converted with the basis change fixed by |H> = (|0>+|1>)/sqrt(2).
@@ -67,6 +68,10 @@ class TestQubitState:
                 assert abs(back.theta - theta) < 1e-10
                 assert abs((back.phi - phi + np.pi) % (2 * np.pi) - np.pi) < 1e-10
 
+    def test_zero_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="zero amplitude vector"):
+            QubitState.from_amplitudes(0, 0)
+
 
 class TestBlochVector:
     def test_rejects_outside_ball(self):
@@ -125,6 +130,10 @@ class TestWavePlates:
                                 state)
             state = apply_jones(half_wave_plate(rng.uniform(0, np.pi)), state)
         assert abs(np.vdot(state.amplitudes(), state.amplitudes()) - 1) < 1e-12
+
+    def test_jones_matrix_must_be_two_by_two(self):
+        with pytest.raises(ValueError, match="2x2"):
+            JonesOperator(np.eye(3))
 
 
 class TestEquatorPath:
@@ -190,6 +199,10 @@ class TestFidelity:
     def test_orthogonal_poles(self):
         assert fidelity(QubitState(0, 0), QubitState(np.pi / 2, 0)) \
             == pytest.approx(0.0, abs=1e-15)
+
+    def test_non_state_argument_is_type_error(self):
+        with pytest.raises(TypeError, match="QubitState or BlochVector"):
+            fidelity(QubitState(0.6, 1.9), 1.0)
 
     def test_uhlmann_examples(self):
         mixed = BlochVector(0, 0, 0)

@@ -186,6 +186,11 @@ class TestAnalyticCentroid:
         with pytest.raises(PoleStateError):
             analytic_centroid(PROBE, QubitState(0, 0))
 
+    def test_higher_charge_has_no_closed_form(self):
+        with pytest.raises(ValueError, match="l = 1"):
+            analytic_centroid(ProbeConfig(w0=W0, g=0.05, l=2),
+                              QubitState(np.pi / 4, 0))
+
 
 class TestQuadratureCentroid:
     def test_centered_beam(self):
