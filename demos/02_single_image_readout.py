@@ -42,7 +42,11 @@ print(f"\nextracted dark spot: ({zip_est.position[0]:+.5f}, "
       f"{zip_est.position[1]:+.5f}) mm "
       f"using {zip_est.pixel_count_used} pixels")
 
+# the calibration maps the dark spot back to a weak value, which the
+# inverse stereographic projection turns into a state
 calibration = Calibration(origin=(0.0, 0.0), scale=probe.g)
-estimate = estimate_state(zip_est, calibration)
+w_read = calibration.unapply(zip_est.position)
+print(f"read weak value:    {w_read:.4f}")
+estimate = estimate_state(w_read)
 print(f"estimated state:    theta={estimate.theta:.4f}  phi={estimate.phi:.4f}")
 print(f"fidelity with preparation: {fidelity(truth, estimate):.6f}")

@@ -24,7 +24,7 @@ fids = []
 for state in states:
     image = render(exact_field(probe, state), sensor)
     zip_est = extract_zip(image)
-    estimate = estimate_state(zip_est, calibration)
+    estimate = estimate_state(calibration.unapply(zip_est.position))
     fids.append(fidelity(state, estimate))
     rows.append((state.theta, state.phi, *zip_est.position, fids[-1]))
 

@@ -127,7 +127,7 @@ def parse_states(cfg: dict):
 
 
 def parse_noise(cfg: dict):
-    if cfg.get("noise") in (None, "noiseless"):
+    if cfg.get("noise") is None:
         return None
     with _config_errors("config field 'noise'"):
         noise = mapping(cfg, "noise")
@@ -225,8 +225,8 @@ def _write_csv(path, header, rows, provenance):
     fh.write("# provenance: " + json.dumps(provenance) + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row]
-                     for row in rows)
+    writer.writerows([c if isinstance(c, (str, int)) else _fmt(c)
+                      for c in row] for row in rows)
     _write_text(path, fh.getvalue())
 
 
@@ -260,16 +260,16 @@ def cmd_simulate(args) -> int:
             build, probe, states, postselections, sensor, noise,
             "state {index}, post-selection {p_index}"):
         state, postselection = states[index], postselections[p_index]
-        # the weak value diverges at the pole: no margin to report
-        margin = (0.0 if field.weak_value is None else
-                  weakvalue.weak_condition_margin(field.weak_value, probe))
+        if field.weak_value is None:  # the pole: no margin to report
+            margin, why = 0.0, "the weak value diverges at the projection pole"
+        else:
+            margin = weakvalue.weak_condition_margin(field.weak_value, probe)
+            why = f"weak-condition margin {margin:.2f} < {MARGIN_WARN_THRESHOLD}"
         # |w| = 1 can round a few ulps high; that alone does not warn
         slack = 4 * np.spacing(MARGIN_WARN_THRESHOLD)
-        if 0 < margin < MARGIN_WARN_THRESHOLD - slack:
-            print(f"WARNING: weak-condition margin {margin:.2f} < "
-                  f"{MARGIN_WARN_THRESHOLD} for state {index}; the "
-                  "displaced-vortex reading is unreliable",
-                  file=sys.stderr)
+        if margin < MARGIN_WARN_THRESHOLD - slack:
+            print(f"WARNING: {why} for state {index}; the displaced-vortex "
+                  "reading is unreliable", file=sys.stderr)
         image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
         image.provenance["postselection"] = [postselection.x, postselection.y,
                                              postselection.z]
@@ -313,7 +313,7 @@ def cmd_estimate(args) -> int:
             zip_est = estimation.extract_zip(
                 image, threshold_fraction=args.threshold_fraction)
             w = calibration.unapply(zip_est.position)
-            state = estimation.estimate_state(zip_est, calibration, postselection)
+            state = estimation.estimate_state(w, postselection)
             fid = ""
             reference = image.provenance.get("state")
             if isinstance(reference, dict):

@@ -1,5 +1,5 @@
 """State recovery from intensity images: dark-core (ZIP) localization,
-calibration from reference images, inversion to a state estimate, and the
+calibration from reference ZIPs, inversion to a state estimate, and the
 multi-post-selection least-squares reconstruction of mixed states.
 """
 
@@ -11,8 +11,7 @@ import numpy as np
 
 from .imaging import IntensityImage, real, reals
 from .polarization import BlochVector, QubitState
-from .weakvalue import (SOUTH_POLE, projection_line, stereographic_invert,
-                        stereographic_project)
+from .weakvalue import SOUTH_POLE, projection_line, stereographic_invert
 
 
 class EstimationError(ValueError):
@@ -286,11 +285,9 @@ def _dark_core(img: IntensityImage, threshold: float) -> ZipEstimate:
 MAX_WEAK_VALUE = 50.0
 
 
-def estimate_state(zip_estimate: ZipEstimate, calibration: Calibration,
-                   postselection: BlochVector = SOUTH_POLE) -> QubitState:
-    """Map a ZIP through the calibration to a weak value and invert the
-    projection.  Estimates beyond MAX_WEAK_VALUE, NaN too, are refused."""
-    w = calibration.unapply(zip_estimate.position)
+def estimate_state(w: complex, postselection: BlochVector = SOUTH_POLE) -> QubitState:
+    """Invert the projection at the weak value w (`Calibration.unapply` of
+    a ZIP).  Weak values beyond MAX_WEAK_VALUE, NaN too, are refused."""
     if not abs(w) <= MAX_WEAK_VALUE:  # NaN included
         raise NearPoleError(
             f"|w| = {abs(w):.3g} exceeds the cap {MAX_WEAK_VALUE}; "
@@ -299,21 +296,22 @@ def estimate_state(zip_estimate: ZipEstimate, calibration: Calibration,
 
 
 def calibrate(references) -> tuple:
-    """Least-squares fit of (origin, scale, orientation) from reference
-    images of known states.
+    """Least-squares fit of (origin, scale, orientation) from references.
 
-    Each reference is an (IntensityImage, QubitState) pair taken with the
-    default |1> post-selection.  One lstsq solves z = origin + c * w over
-    complex unknowns (origin, c); its singular values refuse weak values
-    too close together to fix a scale (sigma_2 <= 1e-12 sigma_1).  Returns
-    the calibration together with the RMS position residual, 0 for two
-    references, which fit exactly.
+    Each reference is a (ZipEstimate, w) pair: the ZIP at the caller's
+    threshold and w = stereographic_project(state, f) under its analyser f.
+    One lstsq solves z = origin + c * w over complex unknowns (origin, c);
+    its singular values refuse weak values too close together to fix a
+    scale (sigma_2 <= 1e-12 sigma_1).  Returns the calibration together
+    with the RMS position residual, 0 for two references, which fit exactly.
     """
     if len(references) < 2:
         raise CalibrationError("need at least two reference images")
-    ws, zs = np.array([(stereographic_project(state),
-                        complex(*extract_zip(image).position))
-                       for image, state in references]).T
+    pairs = np.array([(complex(*zip_estimate.position), w)
+                      for zip_estimate, w in references])
+    if not np.isfinite(pairs).all():
+        raise CalibrationError("reference ZIPs and weak values must be finite")
+    zs, ws = pairs.T
     (origin, c), sum_sq, _, sigma = np.linalg.lstsq(
         np.column_stack([np.ones_like(ws), ws]), zs, rcond=None)
     if sigma[1] <= 1e-12 * sigma[0]:

@@ -220,6 +220,26 @@ class TestSimulate:
                          str(tmp_path / "o")]) == EXIT_OK
             assert ("margin" in capsys.readouterr().err) == warns
 
+    def test_frame_at_the_pole_warns(self, tmp_path, capsys):
+        # the least weak frame of all: exact mode renders it, margin 0
+        cfg = base_config(tmp_path, states={"kind": "explicit", "theta": 0.0,
+                                            "phi": 0.0})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert ("WARNING: the weak value diverges at the projection pole for "
+                "state 0" in capsys.readouterr().err)
+        row = csv_lines(out / "manifest.csv")[1].split(",")
+        assert row[-1] == "0.0"
+
+    def test_manifest_writes_integers_as_integers(self, tmp_path):
+        cfg = base_config(tmp_path, states={"kind": "equator", "steps": 2})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(csv_lines(out / "manifest.csv")))
+        assert [int(row["index"]) for row in rows] == [0, 1]
+        assert [row["l"] for row in rows] == ["1", "1"]
+        assert [row["w0_mm"] for row in rows] == ["1.0", "1.0"]
+
     def test_mixed_source_rejected(self, tmp_path):
         cfg = base_config(tmp_path,
                           states={"kind": "bloch", "x": 0.1, "y": 0.0, "z": 0.2})
@@ -289,6 +309,21 @@ class TestEstimate:
         rows = csv_lines(out_csv)
         assert rows[0].startswith("file,zip_x_mm")
         assert len(rows) == len(images) + 1
+
+    def test_estimate_maps_each_zip_once(self, tmp_path, monkeypatch):
+        images = self.simulate_sweep(tmp_path, steps=3)
+        calls = []
+        unapply = Calibration.unapply
+
+        def spy(calibration, position):
+            calls.append(position)
+            return unapply(calibration, position)
+
+        monkeypatch.setattr(Calibration, "unapply", spy)
+        assert main(["estimate", "--cal", write_calibration(tmp_path),
+                     "--postselect", "0,0,-1", "--out",
+                     str(tmp_path / "est.csv"), *images]) == EXIT_OK
+        assert len(calls) == len(images) == 3
 
     def test_estimate_makes_no_float_frame(self, tmp_path, monkeypatch):
         images = self.simulate_sweep(tmp_path, steps=2)
@@ -889,6 +924,7 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
     ("simulate", {"postselections": [[0, 0, 0]]}, [],
      "'postselections': post-selection vector must be nonzero"),
     ("simulate", {"probe": 5}, [], "'probe' must be an object"),
+    ("simulate", {"noise": "noiseless"}, [], "config field 'noise'"),
 ], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
         "tomo-inf-postselection", "postselections-not-a-list",
         "postselections-empty", "postselections-a-string",
@@ -899,7 +935,7 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
         "default-sensor-overflows", "seed-without-noise", "bogus-mode",
         "tomo-pure-source", "unknown-sensor-preset", "unknown-states-kind",
         "two-component-postselection", "zero-postselection",
-        "probe-not-an-object"])
+        "probe-not-an-object", "noiseless-string"])
 def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
                                       flags, named):
     scenario = ({"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},

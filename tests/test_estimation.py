@@ -343,25 +343,32 @@ def test_clean_ccd_frame_allocates_less_than_a_label_frame():
 
 class TestEstimateState:
     def test_origin_is_south_pole(self):
-        zip_est = ZipEstimate((0.0, 0.0), 5, 0.1)
-        state = estimate_state(zip_est, IDENTITY_CAL)
+        state = estimate_state(0j)
         assert state.theta == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_g_displacement_is_h(self):
-        zip_est = ZipEstimate((PROBE.g, 0.0), 5, 0.1)
-        state = estimate_state(zip_est, IDENTITY_CAL)
+        state = estimate_state(IDENTITY_CAL.unapply((PROBE.g, 0.0)))
         assert fidelity(state, QubitState(np.pi / 4, 0)) \
             == pytest.approx(1.0, abs=1e-12)
 
     def test_near_pole_is_refused(self):
-        zip_est = ZipEstimate((60 * PROBE.g, 0.0), 5, 0.1)
         with pytest.raises(NearPoleError):
-            estimate_state(zip_est, IDENTITY_CAL)
+            estimate_state(IDENTITY_CAL.unapply((60 * PROBE.g, 0.0)))
+
+    def test_nan_weak_value_is_refused(self):
+        with pytest.raises(NearPoleError, match="exceeds the cap"):
+            estimate_state(complex(np.nan, 0.0))
+
+    def test_inverts_under_a_tilted_analyser(self):
+        f = BlochVector(0.0, np.sin(0.3), -np.cos(0.3))
+        truth = QubitState(1.1, 5.4)
+        state = estimate_state(stereographic_project(truth, f), f)
+        assert fidelity(truth, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_end_to_end_pure_pipeline(self):
         truth = QubitState(3 * np.pi / 8, 4.0)
         img = render(exact_field(PROBE, truth), fast_sensor(W0, pixels=512))
-        state = estimate_state(extract_zip(img), IDENTITY_CAL)
+        state = estimate_state(IDENTITY_CAL.unapply(extract_zip(img).position))
         assert fidelity(truth, state) >= 0.999
 
 
@@ -390,7 +397,7 @@ class TestCalibration:
         cal = Calibration(origin=(0.1, 0.2), scale=0.05, orientation=-0.3)
         assert Calibration.from_json(cal.to_json()) == cal
 
-    def _reference_images(self, rotate=0.0):
+    def _references(self, rotate=0.0):
         # |1> (w = 0) and |H> (w = 1) have bias-free cores: the envelope is
         # concentric with the dark spot for both.  1024^2 keeps the pixel
         # quantization of the core window below the 1e-3 relative target.
@@ -413,26 +420,41 @@ class TestCalibration:
                     def min_extent(self, _f=field):
                         return _f.min_extent()
 
-                refs.append((render(Rotated(), sensor), state))
-            else:
-                refs.append((render(field, sensor), state))
+                field = Rotated()
+            refs.append((extract_zip(render(field, sensor)),
+                         stereographic_project(state)))
         return refs
 
     def test_recovers_identity_geometry(self):
-        cal, residual = calibrate(self._reference_images())
+        cal, residual = calibrate(self._references())
         assert np.hypot(*cal.origin) < 1e-3 * PROBE.g
         assert cal.scale == pytest.approx(PROBE.g, rel=1e-3)
         assert abs(cal.orientation) < 1e-3
         assert residual < 1e-3 * PROBE.g
 
     def test_recovers_injected_rotation(self):
-        cal, _ = calibrate(self._reference_images(rotate=np.pi / 6))
+        cal, _ = calibrate(self._references(rotate=np.pi / 6))
         assert cal.orientation == pytest.approx(np.pi / 6, abs=1e-3)
         assert cal.scale == pytest.approx(PROBE.g, rel=1e-3)
 
+    def test_recovers_a_tilted_analyser(self):
+        # the weak values are those of the analyser f the frames were taken
+        # with; the |1> analyser's would fit an orientation near -0.1 rad
+        f = BlochVector(0.0, np.sin(0.3), -np.cos(0.3))
+        sensor = fast_sensor(W0, pixels=1024)
+        refs = [(extract_zip(render(exact_field(PROBE, state, f), sensor)),
+                 stereographic_project(state, f))
+                for state in (QubitState(np.pi / 2, 0),
+                              QubitState(np.pi / 4, 0),
+                              QubitState(3 * np.pi / 8, np.pi))]
+        cal, _ = calibrate(refs)
+        assert cal.scale == pytest.approx(PROBE.g, rel=1e-3)
+        assert abs(cal.orientation) < 1e-3
+
     def test_two_references_fit_exactly(self):
         sensor = fast_sensor(W0, pixels=256)
-        refs = [(render(exact_field(PROBE, state), sensor), state)
+        refs = [(extract_zip(render(exact_field(PROBE, state), sensor)),
+                 stereographic_project(state))
                 for state in (QubitState(np.pi / 2, 0),
                               QubitState(np.pi / 4, 0))]
         cal, residual = calibrate(refs)
@@ -440,24 +462,29 @@ class TestCalibration:
         assert cal.scale == pytest.approx(PROBE.g, rel=1e-2)
 
     def test_single_reference_rejected(self):
-        refs = self._reference_images()[:1]
-        with pytest.raises(CalibrationError):
-            calibrate(refs)
+        with pytest.raises(CalibrationError, match="at least two"):
+            calibrate(self._references()[:1])
 
     def test_identical_weak_values_rejected(self):
-        sensor = fast_sensor(W0, pixels=256)
-        img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), sensor)
-        with pytest.raises(CalibrationError):
-            calibrate([(img, QubitState(np.pi / 4, 0)),
-                       (img, QubitState(np.pi / 4, 0))])
+        refs = [(ZipEstimate((x, 0.0), 1, 1.0), 1.0) for x in (0.05, 0.06)]
+        with pytest.raises(CalibrationError, match="all identical"):
+            calibrate(refs)
 
     def test_one_image_under_two_states_rejected(self):
         # the ZIPs coincide while the weak values differ: zero fitted scale
-        sensor = fast_sensor(W0, pixels=256)
-        img = render(exact_field(PROBE, QubitState(np.pi / 4, 0)), sensor)
+        zip_est = ZipEstimate((PROBE.g, 0.0), 1, 1.0)
+        other = stereographic_project(QubitState(np.pi / 3, 1.0))
         with pytest.raises(CalibrationError, match="zero scale"):
-            calibrate([(img, QubitState(np.pi / 4, 0)),
-                       (img, QubitState(np.pi / 3, 1.0))])
+            calibrate([(zip_est, 1.0), (zip_est, other)])
+
+    @pytest.mark.parametrize("zip_x, w", [(0.05, np.nan), (0.05, np.inf),
+                                          (np.nan, 1.0)],
+                             ids=["nan-w", "inf-w", "nan-zip"])
+    def test_nonfinite_reference_rejected(self, zip_x, w):
+        refs = [(ZipEstimate((0.0, 0.0), 1, 1.0), 0.0),
+                (ZipEstimate((zip_x, 0.0), 1, 1.0), w)]
+        with pytest.raises(CalibrationError, match="must be finite"):
+            calibrate(refs)
 
 
 class TestReconstructMixed:
