@@ -8,10 +8,9 @@ only) and once through rendered images with the dark-spot extractor.
 
 import numpy as np
 
-from vortexscope import (BlochVector, Calibration, ProbeConfig, ZipEstimate,
-                         extract_zip, fast_sensor, fidelity,
-                         mixed_exact_field, reconstruct_mixed, render,
-                         stereographic_project)
+from vortexscope import (BlochVector, Calibration, ProbeConfig, extract_zip,
+                         fast_sensor, fidelity, mixed_exact_field,
+                         reconstruct_mixed, render, stereographic_project)
 
 probe = ProbeConfig(w0=1.0, g=0.05)
 calibration = Calibration(origin=(0.0, 0.0), scale=probe.g)
@@ -28,23 +27,20 @@ for plane in planes:
           f"  ->  w = {w.real:+.4f} {w.imag:+.4f}i")
 
 # geometry-only reconstruction from the exact weak values
-observations = []
-for plane in planes:
-    w = stereographic_project(rho, plane)
-    zip_est = ZipEstimate((probe.g * w.real, probe.g * w.imag), 1, 1.0)
-    observations.append((zip_est, calibration, plane))
-ideal = reconstruct_mixed(observations)
+ideal = reconstruct_mixed([(stereographic_project(rho, plane), plane)
+                           for plane in planes])
 err = np.linalg.norm(ideal.bloch.as_array() - rho.as_array())
 print(f"\nline intersection with exact weak values: error {err:.2e}, "
       f"residual {ideal.residual:.2e}")
 
 # full pipeline: render each post-selected mixture image, find its minimum
+# and read its weak value off through the calibration
 sensor = fast_sensor(probe.w0, pixels=512)
-observations = []
+lines = []
 for plane in planes:
     image = render(mixed_exact_field(probe, rho, plane), sensor)
-    observations.append((extract_zip(image), calibration, plane))
-result = reconstruct_mixed(observations)
+    lines.append((calibration.unapply(extract_zip(image).position), plane))
+result = reconstruct_mixed(lines)
 recovered = result.bloch
 err = np.linalg.norm(recovered.as_array() - rho.as_array())
 print(f"through rendered images:                  error {err:.2e}, "

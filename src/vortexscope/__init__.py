@@ -12,10 +12,9 @@ from .weakvalue import (SOUTH_POLE, PoleStateError, stereographic_invert,
                         stereographic_project, weak_condition_margin)
 from .probefield import (CENTROID_IM_SIGN, ComplexField, ProbeConfig,
                          TruncationWarning, ZeroFieldError, analytic_centroid,
-                         approx_field, approx_postselected_field,
-                         centroid_by_quadrature, exact_field, exact_field_norm,
-                         exact_postselected_field, lg_field,
-                         mixed_exact_field, overlap_factor, quadrature_norm)
+                         approx_field, centroid_by_quadrature, exact_field,
+                         exact_field_norm, lg_field, mixed_exact_field,
+                         overlap_factor, quadrature_norm)
 from .imaging import (ImageFormatError, IntensityImage, SensorConfig,
                       add_shot_noise, fast_sensor, experiment_ccd, read_image,
                       render, write_image)

@@ -268,8 +268,9 @@ def cmd_simulate(args) -> int:
         # |w| = 1 can round a few ulps high; that alone does not warn
         slack = 4 * np.spacing(MARGIN_WARN_THRESHOLD)
         if margin < MARGIN_WARN_THRESHOLD - slack:
-            print(f"WARNING: {why} for state {index}; the displaced-vortex "
-                  "reading is unreliable", file=sys.stderr)
+            print(f"WARNING: {why} for state {index}, post-selection "
+                  f"{p_index}; the displaced-vortex reading is unreliable",
+                  file=sys.stderr)
         image.provenance["state"] = {"theta": state.theta, "phi": state.phi}
         image.provenance["postselection"] = [postselection.x, postselection.y,
                                              postselection.z]
@@ -353,15 +354,20 @@ def cmd_tomo(args) -> int:
     if len(postselections) < 2:
         raise ConfigError("'tomo' needs at least two post-selections")
     calibration = estimation.Calibration(origin=(0.0, 0.0), scale=probe.g)
-    observations = []
+    lines = []
     for _, p_index, _, image in _frames(
             probefield.mixed_exact_field, probe, [source], postselections,
             sensor, noise, "Bloch state at post-selection {p_index}"):
-        zip_est = estimation.extract_zip(
-            image, threshold_fraction=args.threshold_fraction)
+        try:
+            zip_est = estimation.extract_zip(
+                image, threshold_fraction=args.threshold_fraction)
+        except estimation.EstimationError as error:
+            error.args = (f"plane {p_index}: {error.args[0]}", *error.args[1:])
+            raise
         del image  # keep only the estimate; _frames holds the plane
-        observations.append((zip_est, calibration, postselections[p_index]))
-    result = estimation.reconstruct_mixed(observations)
+        lines.append((calibration.unapply(zip_est.position),
+                      postselections[p_index]))
+    result = estimation.reconstruct_mixed(lines)
     report = {
         "bloch": [result.bloch.x, result.bloch.y, result.bloch.z],
         "residual": result.residual,

@@ -333,25 +333,25 @@ def calibrate(references) -> tuple:
 CONDITION_LIMIT = 1e8
 
 
-def reconstruct_mixed(observations) -> ReconstructionResult:
+def reconstruct_mixed(lines) -> ReconstructionResult:
     """Least-squares crossing point of the projection lines of several
     post-selections.
 
-    Each observation is (ZipEstimate, Calibration, postselection).  The
-    Bloch vector of the measured state lies on every line through the pole
-    -f and that plane's projection point, so the closest point to all lines
+    Each line is (w, postselection), w the weak value `Calibration.unapply`
+    reads off that plane's ZIP.  The Bloch vector lies on every line through
+    the pole -f and the plane point of w, so the closest point to all lines
     recovers it; their RMS distance from it, unitless, is the residual.
     One lstsq over the stacked projectors I - d d^T gives the point, the
-    residual and the singular values that decide the refusal.  A line whose
-    length overflows (|w| past about 1e154) is refused first, naming its
-    plane.  A point more than 1e-6 outside the ball is flagged `clipped`.
+    residual and the singular values that decide the refusal.  A line of
+    non-finite length (w NaN, inf or past about 1e154) is refused first,
+    naming its plane.  A point more than 1e-6 outside the ball is flagged
+    `clipped`.
     """
-    if len(observations) < 2:
-        raise ValueError("need at least two observations")
+    if len(lines) < 2:
+        raise ValueError("need at least two lines")
     with np.errstate(over="ignore", invalid="ignore"):
-        poles, plane_points = np.swapaxes([projection_line(
-            calibration.unapply(zip_estimate.position), postselection)
-            for zip_estimate, calibration, postselection in observations], 0, 1)
+        poles, plane_points = np.swapaxes(
+            [projection_line(w, f) for w, f in lines], 0, 1)
         dirs = plane_points - poles
         lengths = np.linalg.norm(dirs, axis=1, keepdims=True)
     far = np.flatnonzero(~np.isfinite(lengths))
@@ -371,12 +371,12 @@ def reconstruct_mixed(observations) -> ReconstructionResult:
         raise DegenerateGeometryError(
             f"reconstruction lines {i} and {j} are (near-)parallel; "
             "add a post-selection on another axis")
-    residual = float(np.sqrt(sum_sq[0] / len(observations)))
+    residual = float(np.sqrt(sum_sq[0] / len(lines)))
     norm = np.linalg.norm(point)
     clipped = bool(norm > 1.0 + 1e-6)
     if norm > 1.0:
         point = point / norm
     return ReconstructionResult(bloch=BlochVector.from_array(point),
                                 residual=residual,
-                                images_used=len(observations),
+                                images_used=len(lines),
                                 clipped=clipped)

@@ -266,11 +266,6 @@ def exact_field(cfg: ProbeConfig, state: QubitState,
     return _exact(cfg, (amplitudes,), "exact", w)
 
 
-def exact_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
-    """Exact post-selected amplitude for the |1> post-selection."""
-    return exact_field(cfg, state).amplitude(x, y)
-
-
 def approx_field(cfg: ProbeConfig, state: QubitState,
                  postselection: BlochVector = SOUTH_POLE) -> ComplexField:
     """Weak-limit field <f|psi> phi_l(x - G w, y) with complex displacement.
@@ -284,11 +279,6 @@ def approx_field(cfg: ProbeConfig, state: QubitState,
         raise PoleStateError("weak value diverges: the state is the "
                              "projection pole of the post-selection")
     return ComplexField((((overlap, cfg.g * w),),), cfg, "approx", w)
-
-
-def approx_postselected_field(cfg: ProbeConfig, state: QubitState, x, y):
-    """Weak-limit amplitude for the |1> post-selection."""
-    return approx_field(cfg, state).amplitude(x, y)
 
 
 def mixed_exact_field(cfg: ProbeConfig, rho: BlochVector,

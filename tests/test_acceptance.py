@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from vortexscope.estimation import (Calibration, DegenerateGeometryError,
-                                    ZipEstimate, extract_zip,
-                                    reconstruct_mixed)
+                                    extract_zip, reconstruct_mixed)
 from vortexscope.imaging import (SensorConfig, add_shot_noise, fast_sensor,
                                  experiment_ccd, render)
 from vortexscope.polarization import (BlochVector, QubitState, equator_path,
                                       fidelity, infinity_path, wave_plate)
 from vortexscope.probefield import (CENTROID_IM_SIGN, ProbeConfig,
-                                    analytic_centroid,
-                                    approx_postselected_field,
+                                    analytic_centroid, approx_field,
                                     centroid_by_quadrature, exact_field,
-                                    exact_postselected_field,
                                     mixed_exact_field)
 from vortexscope.weakvalue import (SOUTH_POLE, stereographic_invert,
                                    stereographic_project)
@@ -257,13 +254,9 @@ def test_criterion_6_mixed_state_reconstruction(rng):
     for _ in range(100):
         direction = rng.normal(size=3)
         r = rng.uniform(0, 0.9) * direction / np.linalg.norm(direction)
-        observations = []
-        for plane in FOUR_PLANES:
-            w = stereographic_project(BlochVector(*r), plane)
-            zip_est = ZipEstimate((G_MARGIN20 * w.real, G_MARGIN20 * w.imag),
-                                  1, 1.0)
-            observations.append((zip_est, IDENTITY_CAL, plane))
-        result = reconstruct_mixed(observations)
+        result = reconstruct_mixed(
+            [(stereographic_project(BlochVector(*r), plane), plane)
+             for plane in FOUR_PLANES])
         worst = max(worst, float(np.linalg.norm(result.bloch.as_array() - r)))
     analytic_ok = worst < 1e-9
 
@@ -272,13 +265,13 @@ def test_criterion_6_mixed_state_reconstruction(rng):
     observations = []
     for plane in FOUR_PLANES:
         img = render(mixed_exact_field(PROBE, rho, plane), sensor)
-        observations.append((extract_zip(img), IDENTITY_CAL, plane))
+        observations.append((IDENTITY_CAL.unapply(extract_zip(img).position),
+                             plane))
     pipeline_error = float(np.linalg.norm(
         reconstruct_mixed(observations).bloch.as_array() - rho.as_array()))
     pipeline_ok = pipeline_error < 5e-3
 
-    degenerate = [(ZipEstimate((0.0, 0.0), 1, 1.0), IDENTITY_CAL, plane)
-                  for plane in (SOUTH_POLE, BlochVector(0, 0, 1))]
+    degenerate = [(0j, plane) for plane in (SOUTH_POLE, BlochVector(0, 0, 1))]
     try:
         reconstruct_mixed(degenerate)
         degenerate_ok = False
@@ -325,9 +318,9 @@ def test_criterion_7_property_suites(rng):
     xg, yg = np.meshgrid(xs, xs)
     for theta, phi in ((0.6, 1.1), (np.pi / 4, 2.7)):
         state, mirror = QubitState(theta, phi), QubitState(theta, -phi)
-        for maker in (exact_postselected_field, approx_postselected_field):
-            a = np.abs(maker(PROBE, state, xg, yg)) ** 2
-            b = np.abs(maker(PROBE, mirror, xg, -yg)) ** 2
+        for maker in (exact_field, approx_field):
+            a = np.abs(maker(PROBE, state).amplitude(xg, yg)) ** 2
+            b = np.abs(maker(PROBE, mirror).amplitude(xg, -yg)) ** 2
             if np.max(np.abs(a - b)) > 1e-12:
                 failures.append("mirror symmetry")
 

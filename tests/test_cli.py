@@ -231,6 +231,18 @@ class TestSimulate:
         row = csv_lines(out / "manifest.csv")[1].split(",")
         assert row[-1] == "0.0"
 
+    def test_warning_names_the_postselection(self, tmp_path, capsys):
+        # |0> is the pole of the |1> analyser only, post-selection 1 here
+        cfg = base_config(tmp_path, states={"kind": "explicit", "theta": 0.0,
+                                            "phi": 0.0},
+                          postselections=[[0, 0, 1], [0, 0, -1]])
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "WARNING: the weak value diverges at the projection pole for "
+            "state 0, post-selection 1; the displaced-vortex reading is "
+            "unreliable\n")
+
     def test_manifest_writes_integers_as_integers(self, tmp_path):
         cfg = base_config(tmp_path, states={"kind": "equator", "steps": 2})
         out = tmp_path / "o"
@@ -611,6 +623,32 @@ class TestTomo:
         report = self.read_report(capsys)
         assert report["recovery_error"] < 1e-2
         assert report["uhlmann_fidelity"] > 0.9999
+
+    def test_tomo_maps_each_zip_once(self, tmp_path, monkeypatch):
+        calls = []
+        unapply = Calibration.unapply
+
+        def spy(calibration, position):
+            calls.append(position)
+            return unapply(calibration, position)
+
+        monkeypatch.setattr(Calibration, "unapply", spy)
+        assert main(["tomo", "--config", self.tomo_config(tmp_path)]) == EXIT_OK
+        assert len(calls) == 4
+
+    def test_failed_extraction_names_its_plane(self, tmp_path, capsys):
+        # 3e3 photons leave no interior dark component at 10% of the peak
+        cfg = base_config(
+            tmp_path, probe={"w0_mm": 1.0, "g_mm": 0.1, "l": 1},
+            sensor="fast",
+            states={"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
+            postselections=[[0, 0, -1], [0, 0, 1], [0, 1, 0], [0, -1, 0]],
+            noise={"photon_budget": 3e3, "seed": 5})
+        assert main(["tomo", "--config", cfg,
+                     "--threshold-fraction", "0.1"]) == EXIT_ESTIMATION
+        assert capsys.readouterr().err == (
+            "estimation failed: plane 0: no interior low-intensity "
+            "component found\n")
 
     def test_degenerate_planes_error_out(self, tmp_path, capsys):
         cfg = self.tomo_config(tmp_path, bloch=(0.0, 0.0, 0.0),

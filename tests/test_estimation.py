@@ -27,11 +27,9 @@ IDENTITY_CAL = Calibration(origin=(0.0, 0.0), scale=PROBE.g)
 
 
 def analytic_observation(r, postselection):
-    """Exact-weak-value observation tuple for reconstruct_mixed."""
-    w = stereographic_project(BlochVector(*r), postselection)
-    zip_est = ZipEstimate(position=(PROBE.g * w.real, PROBE.g * w.imag),
-                          pixel_count_used=1, threshold_used=1.0)
-    return (zip_est, IDENTITY_CAL, postselection)
+    """Exact-weak-value (w, f) line for reconstruct_mixed."""
+    return (stereographic_project(BlochVector(*r), postselection),
+            postselection)
 
 
 class TestExtractZip:
@@ -527,9 +525,22 @@ class TestReconstructMixed:
         for f in (SOUTH_POLE, BlochVector(0, 0, 1),
                   BlochVector(0, 1, 0), BlochVector(0, -1, 0)):
             img = render(mixed_exact_field(PROBE, r, f), sensor)
-            observations.append((extract_zip(img), IDENTITY_CAL, f))
+            w = IDENTITY_CAL.unapply(extract_zip(img).position)
+            observations.append((w, f))
         result = reconstruct_mixed(observations)
         assert np.linalg.norm(result.bloch.as_array() - r.as_array()) < 5e-3
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0),
+                                     complex(np.inf, 0.0)],
+                             ids=["nan-w", "inf-w"])
+    def test_nonfinite_weak_value_is_refused_naming_its_plane(self, bad):
+        # w comes from the caller, so reconstruct_mixed checks it itself
+        planes = (SOUTH_POLE, BlochVector(0, 0, 1), BlochVector(0, 1, 0))
+        observations = [analytic_observation([0.3, -0.2, 0.4], f)
+                        for f in planes]
+        observations[1] = (bad, planes[1])
+        with pytest.raises(NearPoleError, match="line of plane 1 leaves"):
+            reconstruct_mixed(observations)
 
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
@@ -566,8 +577,7 @@ class TestReconstructMixed:
                         options={"xatol": 1e-10, "fatol": 1e-18})
                     pos = (fit.x[0] + rng.normal(0, noise),
                            fit.x[1] + rng.normal(0, noise))
-                    observations.append((ZipEstimate(pos, 1, 1.0),
-                                         IDENTITY_CAL, f))
+                    observations.append((IDENTITY_CAL.unapply(pos), f))
                 result = reconstruct_mixed(observations)
                 errors.append(np.linalg.norm(result.bloch.as_array() - r))
             mean_errors.append(np.mean(errors))
@@ -580,9 +590,7 @@ class TestReconstructMixed:
         observations = []
         for f in (SOUTH_POLE, BlochVector(0, 0, 1),
                   BlochVector(0, 1, 0), BlochVector(0, -1, 0)):
-            w = 1.05 * stereographic_project(r, f)
-            pos = (PROBE.g * w.real, PROBE.g * w.imag)
-            observations.append((ZipEstimate(pos, 1, 1.0), IDENTITY_CAL, f))
+            observations.append((1.05 * stereographic_project(r, f), f))
         result = reconstruct_mixed(observations)
         norm = np.linalg.norm(result.bloch.as_array())
         assert result.clipped

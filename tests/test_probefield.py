@@ -8,10 +8,8 @@ from vortexscope.polarization import BlochVector, QubitState
 from vortexscope.probefield import (CENTROID_IM_SIGN, ProbeConfig,
                                     TruncationWarning, ZeroFieldError,
                                     analytic_centroid, approx_field,
-                                    approx_postselected_field,
                                     centroid_by_quadrature, exact_field,
-                                    exact_field_norm,
-                                    exact_postselected_field, lg_field,
+                                    exact_field_norm, lg_field,
                                     mixed_exact_field,
                                     overlap_factor, quadrature_norm)
 from vortexscope.weakvalue import (SOUTH_POLE, PoleStateError,
@@ -70,15 +68,15 @@ class TestExactField:
         state = QubitState(np.pi / 4, 0)
         xs = np.linspace(-2, 2, 41)
         xg, yg = np.meshgrid(xs, xs)
-        got = exact_postselected_field(PROBE, state, xg, yg)
+        got = exact_field(PROBE, state).amplitude(xg, yg)
         # the counter-displaced component cancels for w = 1
         expected = lg_field(PROBE).amplitude(xg - PROBE.g, yg) / np.sqrt(2)
         assert np.max(np.abs(got - expected)) < 1e-14
-        assert abs(exact_postselected_field(PROBE, state, PROBE.g, 0.0)) < 1e-16
+        assert abs(exact_field(PROBE, state).amplitude(PROBE.g, 0.0)) < 1e-16
 
     def test_w_minus_one_mirrors(self):
         state = QubitState(np.pi / 4, np.pi)  # w = -1
-        assert abs(exact_postselected_field(PROBE, state, -PROBE.g, 0.0)) < 1e-16
+        assert abs(exact_field(PROBE, state).amplitude(-PROBE.g, 0.0)) < 1e-16
 
     def test_south_pole_intensity_is_even_in_x(self):
         # even superposition of the two displaced components: the amplitude
@@ -86,15 +84,15 @@ class TestExactField:
         state = QubitState(np.pi / 2, 0)  # w = 0
         xs = np.linspace(0.05, 1.5, 12)
         for x in xs:
-            a = exact_postselected_field(PROBE, state, x, 0.3)
-            b = exact_postselected_field(PROBE, state, -x, 0.3)
+            a = exact_field(PROBE, state).amplitude(x, 0.3)
+            b = exact_field(PROBE, state).amplitude(-x, 0.3)
             assert abs(a) ** 2 == pytest.approx(abs(b) ** 2, abs=1e-15)
             assert b == pytest.approx(-np.conj(a), abs=1e-16)
 
     def test_north_pole_zero_coupling_is_flagged(self):
         cfg = ProbeConfig(w0=W0, g=0.0)
         with pytest.raises(ZeroFieldError):
-            exact_postselected_field(cfg, QubitState(0, 0), 0.1, 0.1)
+            exact_field(cfg, QubitState(0, 0)).amplitude(0.1, 0.1)
         with pytest.raises(ZeroFieldError):
             exact_field(cfg, QubitState(0, 0))
 
@@ -106,7 +104,7 @@ class TestExactField:
     def test_requires_unit_charge(self):
         cfg = ProbeConfig(w0=W0, g=0.05, l=2)
         with pytest.raises(ValueError):
-            exact_postselected_field(cfg, QubitState(np.pi / 4, 0), 0.0, 0.0)
+            exact_field(cfg, QubitState(np.pi / 4, 0)).amplitude(0.0, 0.0)
 
 
 def refine_minimum(intensity, xs, ys):
@@ -131,13 +129,13 @@ class TestApproxField:
         state = QubitState(0.9, 2.0)
         xs = np.linspace(-2, 2, 31)
         xg, yg = np.meshgrid(xs, xs)
-        got = approx_postselected_field(cfg, state, xg, yg)
+        got = approx_field(cfg, state).amplitude(xg, yg)
         c1 = state.amplitudes()[1]
         expected = c1 * lg_field(cfg).amplitude(xg, yg)
         assert np.max(np.abs(got - expected)) < 1e-15
 
     def test_south_pole_keeps_vortex_at_origin(self):
-        got = approx_postselected_field(PROBE, QubitState(np.pi / 2, 0), 0.0, 0.0)
+        got = approx_field(PROBE, QubitState(np.pi / 2, 0)).amplitude(0.0, 0.0)
         assert abs(got) < 1e-16
 
     def test_rendered_zip_matches_weak_displacement(self):
@@ -146,7 +144,7 @@ class TestApproxField:
         n, extent = 512, 6 * W0
         xs = (np.arange(n) - (n - 1) / 2) * (extent / n)
         xg, yg = np.meshgrid(xs, xs)
-        intensity = np.abs(approx_postselected_field(PROBE, state, xg, yg)) ** 2
+        intensity = np.abs(approx_field(PROBE, state).amplitude(xg, yg)) ** 2
         x0, y0 = refine_minimum(intensity, xs, xs)
         pitch = extent / n
         assert abs(x0 - PROBE.g) < 0.1 * pitch
@@ -154,14 +152,14 @@ class TestApproxField:
 
     def test_pole_error_propagates(self):
         with pytest.raises(PoleStateError):
-            approx_postselected_field(PROBE, QubitState(0, 0), 0.0, 0.0)
+            approx_field(PROBE, QubitState(0, 0)).amplitude(0.0, 0.0)
 
     def test_higher_charge_supported(self):
         cfg = ProbeConfig(w0=W0, g=0.05, l=3)
         state = QubitState(np.pi / 4, np.pi / 2)  # w = -i
         w = stereographic_project(state)
         zip_xy = (cfg.g * w.real, cfg.g * w.imag)
-        assert abs(approx_postselected_field(cfg, state, *zip_xy)) < 1e-16
+        assert abs(approx_field(cfg, state).amplitude(*zip_xy)) < 1e-16
 
 
 class TestAnalyticCentroid:
@@ -292,9 +290,9 @@ class TestMirrorSymmetry:
         for theta, phi in ((0.5, 0.8), (np.pi / 4, 2.2)):
             state = QubitState(theta, phi)
             mirror = QubitState(theta, -phi)
-            for maker in (exact_postselected_field, approx_postselected_field):
-                a = np.abs(maker(PROBE, state, xg, yg)) ** 2
-                b = np.abs(maker(PROBE, mirror, xg, -yg)) ** 2
+            for maker in (exact_field, approx_field):
+                a = np.abs(maker(PROBE, state).amplitude(xg, yg)) ** 2
+                b = np.abs(maker(PROBE, mirror).amplitude(xg, -yg)) ** 2
                 assert np.max(np.abs(a - b)) < 1e-12
 
 

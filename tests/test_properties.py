@@ -114,8 +114,8 @@ def test_reconstruct_mixed_recovers_exactly(r, offset, origin, scale,
         postselection = postselection_at(offset + k * np.pi / 2)
         w = stereographic_project(rho, postselection)
         z = complex(*origin) + scale * np.exp(1j * orientation) * w
-        observations.append((ZipEstimate((z.real, z.imag), 1, 0.0),
-                             calibration, postselection))
+        observations.append((calibration.unapply((z.real, z.imag)),
+                             postselection))
     result = reconstruct_mixed(observations)
     assert np.max(np.abs(result.bloch.as_array() - rho.as_array())) < 1e-9
     assert result.residual < 1e-9 and not result.clipped
