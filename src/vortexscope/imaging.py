@@ -85,11 +85,10 @@ class IntensityImage:
     `stored` holds float intensities, or native uint16 counts worth `scale`
     each, as a graymap and a shot-noise draw keep them; float intensities
     take scale 1.  Counts are never NaN or negative, so only float
-    intensities are scanned: one unsigned argmax over their bit patterns
-    both validates the frame and finds its peak.  The frame is scanned in
-    row bands on the shared pool, and the peak is the first band's argmax
-    among those of the largest pattern.  `peak_pixel`, (row, column), is
-    the first brightest pixel in row-major order.  It is found once, at
+    intensities are scanned: one unsigned argmax over their bit patterns,
+    in the calling thread like every reduction over a frame, both
+    validates the frame and finds its peak.  `peak_pixel`, (row, column),
+    is the first brightest pixel in row-major order.  It is found once, at
     construction, so `stored` and `pixels` are read-only views.
     """
 
@@ -119,9 +118,7 @@ class IntensityImage:
             # at or above it.  Below it, the largest pattern is the peak.
             bits = stored.view(np.uint64)
             width = self.sensor.width
-            peak = max(map_row_bands(lambda start, stop: divmod(
-                start * width + int(bits[start:stop].argmax()), width),
-                len(bits)), key=bits.__getitem__)
+            peak = divmod(int(bits.argmax()), width)
             if bits[peak] >= _INF_BITS:
                 # refuse, or accept -0.0: two reductions, no temporaries;
                 # argmax stops at the first NaN, and min() is NaN if any is

@@ -10,10 +10,11 @@ physical (x, y) coordinates: pointwise on full meshgrids for quadrature
 and root finding, separably on an open pixel grid for rendering.  Lengths
 are in millimeters throughout.
 
-The module also owns the package's one thread pool: `map_row_bands` runs a
-frame's per-pixel passes (here the intensity contraction, in `imaging` the
-peak scan, the shot-noise draw and the PGM quantiser) in row bands on all
-available cores, and no output byte depends on the core count.
+The module also owns the package's one thread pool, which only writes
+frames: `map_row_bands` runs each pass that writes a frame in blocks (here
+the intensity contraction, in `imaging` the shot-noise draw and the PGM
+quantiser) on all cores, and no output byte depends on the core count.
+Every reduction over a frame runs in the caller.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ os.register_at_fork(after_in_child=_band_pool.cache_clear)
 
 def map_row_bands(function, rows: int) -> list:
     """[function(start, stop), ...] over rows 0..rows, one contiguous run of
-    whole BLOCK_ROWS blocks per pool worker, in row order.  The calling
-    thread takes the first run itself, so with one worker every row is
-    handled inline and no thread starts.  Every run sees the caller's
+    whole BLOCK_ROWS blocks per pool worker, in row order, for a pass that
+    writes a frame; a reduction over a frame runs in the caller.  The
+    calling thread takes the first run itself, so with one worker every row
+    is handled inline and no thread starts.  Every run sees the caller's
     numpy floating-point error state."""
     pool = _band_pool()
     blocks = -(-rows // BLOCK_ROWS)

@@ -284,6 +284,18 @@ def with_pool_width(monkeypatch, workers, call):
         sys.setswitchinterval(interval)
 
 
+class SpyPool(ThreadPoolExecutor):
+    """A band pool that counts the tasks submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
 class TestRowBands:
     # two full 64-row blocks and a partial one
     SENSOR = SensorConfig(pixel_pitch=8.0 / 128, width=128,
@@ -326,6 +338,20 @@ class TestRowBands:
             assert np.array_equal(pooled_noisy, noisy)
             assert np.array_equal(noisy,
                                   banded_reference(default, 1e6, 11, 2))
+
+    def test_only_passes_that_write_a_frame_reach_the_pool(self, monkeypatch):
+        # three workers take the three blocks in three runs, two of them
+        # submitted; a float frame's peak and the rest of render run in
+        # the caller
+        with SpyPool(3) as pool:
+            monkeypatch.setattr(probefield, "_band_pool", lambda: pool)
+            xs, ys = self.SENSOR.axes()
+            pixels = self.FIELD.intensity(xs[None, :], ys[:, None])
+            assert pool.submitted == 2
+            IntensityImage(pixels, self.SENSOR)
+            assert pool.submitted == 2
+            render(self.FIELD, self.SENSOR)
+            assert pool.submitted == 4
 
     def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
         with ThreadPoolExecutor(1) as pool:

@@ -21,7 +21,7 @@ from vortexscope.imaging import (ImageFormatError, IntensityImage,
                                  SensorConfig, integer, read_image, real,
                                  reals, write_image)
 from vortexscope.polarization import BlochVector, QubitState
-from vortexscope.probefield import (ProbeConfig, TruncationWarning,
+from vortexscope.probefield import (BLOCK_ROWS, ProbeConfig, TruncationWarning,
                                     ZeroFieldError, approx_field, exact_field,
                                     mixed_exact_field)
 from vortexscope.weakvalue import (PoleStateError, pointer_amplitudes,
@@ -646,8 +646,8 @@ def frame_with(value):
     return frame
 
 
-def zeros_with(value, *places, dtype=float):
-    frame = np.zeros((16, 16), dtype)
+def zeros_with(value, *places, dtype=float, shape=(16, 16)):
+    frame = np.zeros(shape, dtype)
     for place in places:
         frame[place] = value
     return frame
@@ -695,6 +695,9 @@ def tied_frames(draw):
 @example((zeros_with(-0.0, (0, 0), (3, 4)), 1.0))
 @example((zeros_with(2.0, (5, 7), (2, 9), (2, 3)), 1.0))  # a tie
 @example((zeros_with(3, (9, 1), (4, 15), dtype=np.uint16), 0.25))
+# a tie between the first and the third row block
+@example((zeros_with(2.0, (2 * BLOCK_ROWS + 20, 0), (20, 9),
+                     shape=(2 * BLOCK_ROWS + 37, 16)), 1.0))
 @given(tied_frames())
 def test_peak_pixel_is_the_first_brightest_in_row_major_order(case):
     frame, scale = case
