@@ -4,10 +4,9 @@ images, stereographic inversion to the Poincare sphere, and mixed-state
 reconstruction from several post-selections.
 """
 
-from .polarization import (BlochVector, JonesOperator, QubitState,
-                           apply_jones, equator_path, fidelity,
-                           half_wave_plate, infinity_path, quarter_wave_plate,
-                           wave_plate)
+from .polarization import (BlochVector, QubitState, apply_jones,
+                           equator_path, fidelity, half_wave_plate,
+                           infinity_path, quarter_wave_plate, wave_plate)
 from .weakvalue import (SOUTH_POLE, PoleStateError, stereographic_invert,
                         stereographic_project, weak_condition_margin)
 from .probefield import (CENTROID_IM_SIGN, ComplexField, ProbeConfig,

@@ -271,10 +271,11 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
     as uint16 counts at scale 1; a count above 65535 is a ValueError.
 
     Block b of BLOCK_ROWS rows of frame `frame` in run `seed` draws from
-    Generator(SFC64(SeedSequence(seed, spawn_key=(frame, b)))).  The blocks
-    are drawn in parallel on the shared row-band pool, whose runs are whole
-    blocks (numpy's sampler releases the GIL), and the counts depend only on
-    (seed, frame, block), never on the number of workers.  Geometry and
+    Generator(SFC64(SeedSequence(seed, spawn_key=(frame, b)))), built in the
+    run that draws the block.  The blocks are drawn in parallel on the
+    shared row-band pool, whose runs are whole blocks (numpy's sampler
+    releases the GIL), and the counts depend only on (seed, frame, block),
+    never on the number of workers.  Geometry and
     upstream provenance are untouched.
     """
     photon_budget = checked_photon_budget(photon_budget)
@@ -285,8 +286,6 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
         raise ValueError("cannot scale a zero image to a photon budget")
     scale = photon_budget / total
     counts = np.empty(img.pixels.shape, np.uint16)
-    streams = np.random.SeedSequence(seed, spawn_key=(frame,)).spawn(
-        -(-img.sensor.height // BLOCK_ROWS))
 
     def draw(start, stop):
         # one reused float block of means per run; each draw is cast to uint16
@@ -294,8 +293,9 @@ def add_shot_noise(img: IntensityImage, photon_budget: float, seed: int,
         for i in range(start, stop, BLOCK_ROWS):
             rows = img.pixels[i:i + BLOCK_ROWS]
             mean = np.multiply(rows, scale, out=block[:len(rows)])
-            drawn = np.random.Generator(
-                np.random.SFC64(streams[i // BLOCK_ROWS])).poisson(mean)
+            stream = np.random.SeedSequence(
+                seed, spawn_key=(frame, i // BLOCK_ROWS))
+            drawn = np.random.Generator(np.random.SFC64(stream)).poisson(mean)
             if drawn.max() > _PGM_MAXVAL:
                 raise ValueError(f"photon budget {photon_budget:g} draws a "
                                  f"count above {_PGM_MAXVAL}, past 16 bits")

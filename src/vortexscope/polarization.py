@@ -2,8 +2,8 @@
 Jones-calculus wave plates, preparation paths, and fidelity.
 
 Basis convention: |0> is left circular, |1> is right circular, anchored by
-|H> = (|0>+|1>)/sqrt(2).  Wave-plate matrices are written in the linear
-{H, V} basis and conjugated into the circular basis.
+|H> = (|0>+|1>)/sqrt(2).  A wave plate is its 2x2 circular-basis matrix,
+built in the linear {H, V} basis and conjugated; apply_jones multiplies by it.
 """
 
 from __future__ import annotations
@@ -109,25 +109,8 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-@dataclass(frozen=True, eq=False)
-class JonesOperator:
-    """2x2 operator with its matrix written in the circular basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("Jones matrix must be 2x2")
-        object.__setattr__(self, "matrix", m)
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        dev = self.matrix @ self.matrix.conj().T - np.eye(2)
-        return bool(np.max(np.abs(dev)) <= tol)
-
-
-def wave_plate(retardance: float, angle: float) -> JonesOperator:
-    """Linear retarder with the given fast-axis angle from horizontal.
+def wave_plate(retardance: float, angle: float) -> np.ndarray:
+    """Circular-basis matrix of a linear retarder, fast axis `angle` from H.
 
     The slow axis acquires phase e^{-i retardance}; this sign choice makes a
     quarter-wave plate at 45 degrees send |H> to the south pole (|1>), the
@@ -135,19 +118,19 @@ def wave_plate(retardance: float, angle: float) -> JonesOperator:
     """
     r = _rotation(angle)
     lin = r @ np.diag([1.0, np.exp(-1j * retardance)]) @ r.T
-    return JonesOperator(_LIN_TO_CIRC @ lin @ _LIN_TO_CIRC.conj().T)
+    return _LIN_TO_CIRC @ lin @ _LIN_TO_CIRC.conj().T
 
 
-def half_wave_plate(angle: float) -> JonesOperator:
+def half_wave_plate(angle: float) -> np.ndarray:
     return wave_plate(np.pi, angle)
 
 
-def quarter_wave_plate(angle: float) -> JonesOperator:
+def quarter_wave_plate(angle: float) -> np.ndarray:
     return wave_plate(np.pi / 2, angle)
 
 
-def apply_jones(op: JonesOperator, state: QubitState) -> QubitState:
-    out = op.matrix @ state.amplitudes()
+def apply_jones(plate: np.ndarray, state: QubitState) -> QubitState:
+    out = plate @ state.amplitudes()
     return QubitState.from_amplitudes(out[0], out[1])
 
 

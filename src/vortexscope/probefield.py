@@ -105,13 +105,13 @@ def _band_pool() -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_band_pool.cache_clear)
 
 
-def map_row_bands(function, rows: int) -> list:
-    """[function(start, stop), ...] over rows 0..rows, one contiguous run of
-    whole BLOCK_ROWS blocks per pool worker, in row order, for a pass that
-    writes a frame; a reduction over a frame runs in the caller.  The
-    calling thread takes the first run itself, so with one worker every row
-    is handled inline and no thread starts.  Every run sees the caller's
-    numpy floating-point error state."""
+def map_row_bands(write, rows: int) -> None:
+    """Run write(start, stop) over rows 0..rows, one contiguous run of whole
+    BLOCK_ROWS blocks per pool worker, in row order.  A run writes its rows
+    of a frame and returns nothing; a reduction over a frame runs in the
+    caller.  The calling thread takes the first run itself, so with one
+    worker every row is handled inline and no thread starts.  Every run
+    sees the caller's numpy floating-point error state."""
     pool = _band_pool()
     blocks = -(-rows // BLOCK_ROWS)
     runs = max(1, min(pool._max_workers, blocks))
@@ -122,14 +122,13 @@ def map_row_bands(function, rows: int) -> list:
     def run(start, stop):
         # pool threads do not inherit the caller's np.errstate
         with np.errstate(**errors):
-            return function(start, stop)
+            write(start, stop)
 
     rest = pool.map(run, cuts[1:-1], cuts[2:])
     try:
-        first = function(0, cuts[1])
+        write(0, cuts[1])
     finally:
-        rest = list(rest)  # no band is still being written on return
-    return [first, *rest]
+        list(rest)  # no band is still being written on return
 
 
 def _intensity(b, y, w0):

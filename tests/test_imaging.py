@@ -364,21 +364,27 @@ class TestRowBands:
 
     def test_pool_bands_see_the_callers_error_state(self, monkeypatch):
         # only the rows past the first run, which the pool threads take,
-        # divide by zero
-        def divide(start, stop):
-            rows = np.ones(stop - start)
-            return rows / (rows if start == 0 else rows * 0)
-
+        # divide by zero; each run writes its rows' quotients
         rows = self.SENSOR.height
+        out = np.zeros(rows)
+        bands = []
+
+        def divide(start, stop):
+            ones = np.ones(stop - start)
+            out[start:stop] = ones / (ones if start == 0 else ones * 0)
+            bands.append((start, stop))
+
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             with_pool_width(monkeypatch, 3,
                             lambda: probefield.map_row_bands(divide, rows))
+        out[:], bands[:] = 0.0, []
         with np.errstate(divide="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            bands = with_pool_width(
-                monkeypatch, 3, lambda: probefield.map_row_bands(divide, rows))
-        assert [len(band) for band in bands] == [64, 64, 37]
-        assert np.concatenate(bands).tolist() == [1.0] * 64 + [np.inf] * 101
+            assert with_pool_width(
+                monkeypatch, 3,
+                lambda: probefield.map_row_bands(divide, rows)) is None
+        assert sorted(bands) == [(0, 64), (64, 128), (128, 165)]
+        assert out.tolist() == [1.0] * 64 + [np.inf] * 101
 
     def test_forked_child_renders_and_quantises_parent_bytes(self, tmp_path):
         # the parent's pool has threads before the fork; the child must
