@@ -34,6 +34,7 @@ EXIT_ESTIMATION = 3
 EXIT_CHECK = 4
 
 MARGIN_WARN_THRESHOLD = 10.0
+MAX_CONFIG_DEPTH = 100  # levels of nesting, the object itself the first
 
 
 class ConfigError(ValueError):
@@ -46,8 +47,8 @@ class ConfigError(ValueError):
 
 @contextlib.contextmanager
 def _config_errors(subject: str):
-    """Re-raise a TypeError, ValueError or OverflowError from the block as
-    a ConfigError that names `subject`; a ConfigError passes through."""
+    """Re-raise a TypeError, ValueError, OverflowError or MemoryError from
+    the block as a ConfigError naming `subject`; a ConfigError passes on."""
     try:
         yield
     except ConfigError:
@@ -56,6 +57,8 @@ def _config_errors(subject: str):
         raise ConfigError(f"{subject}: {bad}") from None
     except OverflowError:
         raise ConfigError(f"{subject}: overflows the float range") from None
+    except MemoryError:
+        raise ConfigError(f"{subject}: too large to allocate") from None
 
 
 def threshold_fraction(text: str) -> float:
@@ -157,10 +160,16 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as bad:
+    except (ValueError, RecursionError) as bad:  # not UTF-8, or too deep
         raise ConfigError(f"config file {path} is not valid JSON: {bad}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    level = [cfg]  # outputs embed the config, and encoding it recurses
+    for _ in range(MAX_CONFIG_DEPTH):
+        level = [item for node in level if isinstance(node, (dict, list))
+                 for item in (node.values() if isinstance(node, dict) else node)]
+    if level:
+        raise ConfigError(f"config file {path} nests past {MAX_CONFIG_DEPTH} levels")
     return cfg
 
 
@@ -203,6 +212,10 @@ def _frames(build, probe, sources, postselections, sensor, noise, subject):
                 fault = None if image.max_intensity() > 0 else "no light"
             except imaging.ImageFormatError:
                 fault = "non-finite intensities"
+            except MemoryError:
+                raise ConfigError(f"config field 'sensor': a {sensor.width}x"
+                                  f"{sensor.height} frame is too large to "
+                                  "allocate") from None
             if fault:
                 raise ConfigError(f"{named}: the frame renders {fault} on "
                                   f"the sensor (g_mm = {probe.g!r})")
@@ -422,8 +435,9 @@ def cmd_centroid_check(args) -> int:
     with np.errstate(all="ignore"):
         for g_ratio, probe, centroids in zip(ratios, probes, closed):
             for (theta, phi, state, w), (xa, ya) in zip(points, centroids):
-                xq, yq = probefield.centroid_by_quadrature(
-                    probefield.exact_field(probe, state), resolution)
+                field = probefield.exact_field(probe, state)
+                with _config_errors(f"{subject}'resolution' {resolution}"):
+                    xq, yq = probefield.centroid_by_quadrature(field, resolution)
                 # np.maximum keeps a NaN, which the builtin max may drop
                 deviation = np.maximum(abs(xa - xq), abs(abs(ya) - abs(yq)))
                 worst = np.maximum(worst, deviation)

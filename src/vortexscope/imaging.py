@@ -48,6 +48,9 @@ class SensorConfig:
             raise ValueError("pixel pitch must be positive and finite")
         if self.width < 16 or self.height < 16:
             raise ValueError("sensor must be at least 16x16 pixels")
+        if self.width * self.height > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"a {self.width}x{self.height} frame is too large "
+                             "to allocate")
         offset = np.asarray(self.center_offset, dtype=float)
         if offset.shape != (2,) or not np.isfinite(offset).all():
             raise ValueError("center offset must be two finite numbers")
@@ -432,7 +435,7 @@ def read_image(path) -> IntensityImage:
                 if text.startswith(b"{"):
                     try:
                         header_json = json.loads(text.decode())
-                    except ValueError:
+                    except (ValueError, RecursionError):  # also not UTF-8
                         raise ImageFormatError(
                             f"{path}: provenance comment is not valid JSON") from None
                 continue

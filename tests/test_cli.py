@@ -1406,3 +1406,94 @@ def test_malformed_input_is_refused_naming_its_field(tmp_path, capsys, source,
         (row,) = csv.DictReader(csv_lines(out_csv))
         assert row["error"].startswith(f"error: {frame}: ")
         assert named in row["error"]
+
+
+def nested_lists(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+# 200 000 levels: past the recursion limit of any interpreter's decoder
+DEEP_JSON = ('{"a": ' + nested_lists(200_000) + "}").encode()
+HUGE = 2 ** 50  # a frame this wide fits no 64-bit address space
+
+
+def scenario_json(width, height, **overrides):
+    return json.dumps({
+        "probe": {"w0_mm": 1.0, "g_mm": 0.05},
+        "sensor": {"pixel_pitch_mm": 0.03, "width": width, "height": height},
+        "states": {"kind": "explicit", "theta": 0.7, "phi": 0.3},
+        **overrides}).encode()
+
+
+TOMO_STATES = {"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
+               "postselections": [[0, 0, -1], [0, 0, 1]]}
+ESTIMATE = ["estimate", "--cal", "cal.json", "--postselect", "0,0,-1",
+            "--out", "est.csv", "img.pgm"]
+
+# Each hostile input below made the command exit 1 with a traceback.  An
+# entry is (id, files written to the working directory, arguments, exit
+# code, text of its stderr or of est.csv).
+HOSTILE_INPUTS = [
+    ("estimate-deep-pgm-comment",
+     {"cal.json": json.dumps({"origin_mm": [0, 0], "scale_mm": 0.05}).encode(),
+      "img.pgm": b"P5\n# " + DEEP_JSON + b"\n16 16\n65535\n" + bytes(512)},
+     ESTIMATE, EXIT_ESTIMATION, "provenance comment is not valid JSON"),
+    ("simulate-deep-config", {"c.json": DEEP_JSON},
+     ["simulate", "--config", "c.json"], EXIT_CONFIG,
+     "config file c.json is not valid JSON"),
+    # decodes, but nests too deep for the encoder once simulate embeds it in
+    # a frame header
+    ("simulate-config-past-the-depth-bound",
+     {"c.json": scenario_json(16, 16)[:-1] + b', "a": '
+      + nested_lists(987).encode() + b"}"},
+     ["simulate", "--config", "c.json", "--out", "o"], EXIT_CONFIG,
+     f"config file c.json nests past {cli.MAX_CONFIG_DEPTH} levels"),
+    ("simulate-non-utf8-config", {"c.json": b'{"probe": \xff}'},
+     ["simulate", "--config", "c.json"], EXIT_CONFIG,
+     "config file c.json is not valid JSON"),
+    ("estimate-non-utf8-calibration", {"cal.json": b"\xff"}, ESTIMATE,
+     EXIT_CONFIG, "config file cal.json is not valid JSON"),
+    ("simulate-huge-frame", {"c.json": scenario_json(HUGE, HUGE)},
+     ["simulate", "--config", "c.json", "--out", "o"], EXIT_CONFIG,
+     f"config field 'sensor': a {HUGE}x{HUGE} frame is too large"),
+    ("simulate-frame-past-numpy-index", {"c.json": scenario_json(2 ** 64, 16)},
+     ["simulate", "--config", "c.json", "--out", "o"], EXIT_CONFIG,
+     f"config field 'sensor': a {2 ** 64}x16 frame is too large"),
+    ("tomo-huge-frame", {"c.json": scenario_json(HUGE, 16, **TOMO_STATES)},
+     ["tomo", "--config", "c.json"], EXIT_CONFIG,
+     f"config field 'sensor': a {HUGE}x16 frame is too large"),
+    ("centroid-check-huge-resolution",
+     {"g.json": json.dumps({"resolution": HUGE}).encode()},
+     ["centroid-check", "--grid", "g.json"], EXIT_CONFIG,
+     f"'resolution' {HUGE}: too large to allocate"),
+]
+
+
+@pytest.mark.parametrize("files, args, code, message",
+                         [case[1:] for case in HOSTILE_INPUTS],
+                         ids=[case[0] for case in HOSTILE_INPUTS])
+def test_hostile_input_exits_with_its_code_and_no_traceback(
+        tmp_path, files, args, code, message):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "vortexscope.cli", *args],
+        cwd=tmp_path, env=source_env(), capture_output=True, text=True,
+        timeout=120)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == code, done.stderr
+    estimates = tmp_path / "est.csv"
+    assert message in done.stderr + (
+        estimates.read_text() if estimates.exists() else "")
+
+
+@pytest.mark.parametrize("depth, code", [
+    (cli.MAX_CONFIG_DEPTH, EXIT_OK), (cli.MAX_CONFIG_DEPTH + 1, EXIT_CONFIG)])
+def test_config_depth_bound(tmp_path, capsys, depth, code):
+    # the object is the first level, so its lists add depth - 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(Path(base_config(tmp_path)).read_text()[:-1]
+                   + ', "extra": ' + nested_lists(depth - 1) + "}")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == code
+    assert ("nests past" in capsys.readouterr().err) == (code != EXIT_OK)

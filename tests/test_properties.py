@@ -203,6 +203,8 @@ lines = st.sampled_from([b"", b"P2", b"16 17", b"16", b"255", b"#",
 @given(header_edits, st.sampled_from([None, None, 0, 2, 3]), lines,
        st.sampled_from([None, None, None, 0, 1, 2]),
        st.just(512) | st.integers(0, 511))
+# a comment nested past the decoder's recursion limit
+@example({}, 1, b'# {"a": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", None, 512)
 def test_fuzzed_pgm_header_raises_only_image_format_error(
         pgm_parts, edits, slot, line, join, keep):
     """Each example edits header fields, may replace one header line, may
