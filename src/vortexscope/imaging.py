@@ -435,7 +435,7 @@ def read_image(path) -> IntensityImage:
                 if text.startswith(b"{"):
                     try:
                         header_json = json.loads(text.decode())
-                    except (ValueError, RecursionError):  # also not UTF-8
+                    except (ValueError, RecursionError):  # or nested too deep
                         raise ImageFormatError(
                             f"{path}: provenance comment is not valid JSON") from None
                 continue

@@ -1441,8 +1441,8 @@ HOSTILE_INPUTS = [
     ("simulate-deep-config", {"c.json": DEEP_JSON},
      ["simulate", "--config", "c.json"], EXIT_CONFIG,
      "config file c.json is not valid JSON"),
-    # decodes, but nests too deep for the encoder once simulate embeds it in
-    # a frame header
+    # 988 levels decode, just inside the decoder's recursion limit, but were
+    # too deep to encode once simulate embedded the config in a frame header
     ("simulate-config-past-the-depth-bound",
      {"c.json": scenario_json(16, 16)[:-1] + b', "a": '
       + nested_lists(987).encode() + b"}"},
