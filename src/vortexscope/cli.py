@@ -3,8 +3,8 @@ files, mixed-state tomography, the centroid cross-check, and preparation-path
 listings.
 
 All configuration is JSON with lengths in millimeters and angles in radians;
-flags override config fields.  Outputs are deterministic for a fixed config
-and seed, and every file carries the producing configuration as provenance.
+only `--out` overrides `output_dir`.  Outputs are deterministic for a fixed
+config, and every file carries the producing configuration as provenance.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 estimation failure,
 4 consistency-check failure.
@@ -156,7 +156,7 @@ def parse_scenario(cfg: dict):
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -253,13 +253,7 @@ def cmd_simulate(args) -> int:
     if isinstance(states, BlochVector):
         raise ConfigError("'simulate' expects pure states; use 'tomo' "
                           "for mixed-state scenarios")
-    if args.seed is not None:
-        with _config_errors("--seed"):
-            seed = imaging.checked_seed(args.seed)
-        noise = dict(noise or {"photon_budget": None}) | {"seed": seed}
-        if noise["photon_budget"] is None:
-            raise ConfigError("--seed given but config has no noise budget")
-    mode = args.mode or cfg.get("mode", "exact")
+    mode = cfg.get("mode", "exact")
     if mode not in ("exact", "approx"):
         raise ConfigError(f"mode must be 'exact' or 'approx', got {mode!r}")
     build = probefield.exact_field if mode == "exact" else probefield.approx_field
@@ -394,8 +388,9 @@ def cmd_tomo(args) -> int:
     report["uhlmann_fidelity"] = polarization.fidelity(source, result.bloch)
     print(json.dumps(report, indent=2))
     if args.out:
-        _write_text(args.out, json.dumps({"config": cfg, "report": report},
-                                         indent=2))
+        _write_text(args.out, json.dumps(
+            {"config": cfg, "threshold_fraction": args.threshold_fraction,
+             "report": report}, indent=2))
     return EXIT_OK
 
 
@@ -430,7 +425,8 @@ def cmd_centroid_check(args) -> int:
 
     worst = 0.0
     sign_votes = []
-    print("theta,phi,g_over_w0,x_analytic,x_quadrature,y_analytic,y_quadrature,deviation")
+    # the whole table is made before any of it prints: a refusal prints none
+    lines = ["theta,phi,g_over_w0,x_analytic,x_quadrature,y_analytic,y_quadrature,deviation"]
     # a sum that overflows or vanishes leaves a NaN row, not a numpy warning
     with np.errstate(all="ignore"):
         for g_ratio, probe, centroids in zip(ratios, probes, closed):
@@ -443,8 +439,9 @@ def cmd_centroid_check(args) -> int:
                 worst = np.maximum(worst, deviation)
                 if abs(w.imag) > 1e-6 and abs(yq) > 10 * tolerance:
                     sign_votes.append(np.sign(yq) * np.sign(w.imag))
-                print(f"{theta},{phi},{g_ratio},{_fmt(xa)},{_fmt(xq)},"
-                      f"{_fmt(ya)},{_fmt(yq)},{deviation:.3e}")
+                lines.append(f"{theta},{phi},{g_ratio},{_fmt(xa)},{_fmt(xq)},"
+                             f"{_fmt(ya)},{_fmt(yq)},{deviation:.3e}")
+    print("\n".join(lines))
     consistent = len(set(sign_votes)) == 1
     sign_text = (f"resolved centroid sign s = {int(sign_votes[0]):+d} "
                  f"({'consistent' if consistent else 'INCONSISTENT'})"
@@ -492,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="render probe images for a scenario")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--mode", choices=("exact", "approx"), default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate states from image files")

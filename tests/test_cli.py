@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -170,11 +171,12 @@ class TestSimulate:
         assert peak < frames * 256 * 256 * np.dtype(float).itemsize
 
     def test_adjacent_seeds_draw_distinct_noise(self, tmp_path):
-        cfg = base_config(tmp_path, postselections=[[0, 0, -1], [0, 0, -1]],
-                          noise={"photon_budget": 1e5, "seed": 0})
-        for seed in ("7", "8"):
-            assert main(["simulate", "--config", cfg, "--seed", seed,
-                         "--out", str(tmp_path / seed)]) == EXIT_OK
+        for seed in (7, 8):
+            cfg = base_config(tmp_path,
+                              postselections=[[0, 0, -1], [0, 0, -1]],
+                              noise={"photon_budget": 1e5, "seed": seed})
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / str(seed))]) == EXIT_OK
         second = tmp_path / "7" / "img_0000_1.pgm"
         first = tmp_path / "8" / "img_0000_0.pgm"
         payload = 256 * 256 * 2
@@ -268,12 +270,14 @@ class TestSimulate:
         assert "sensor" in capsys.readouterr().err
 
     def test_rerun_into_same_directory_matches_fresh_run(self, tmp_path):
-        cfg = base_config(tmp_path, states={"kind": "equator", "steps": 3},
-                          noise={"photon_budget": 1e5, "seed": 11})
+        def config(seed):
+            return base_config(tmp_path, states={"kind": "equator", "steps": 3},
+                               noise={"photon_budget": 1e5, "seed": seed})
         again, fresh = tmp_path / "again", tmp_path / "fresh"
         # the first run draws other noise, so the rewrite changes payloads
-        assert main(["simulate", "--config", cfg, "--seed", "12",
+        assert main(["simulate", "--config", config(12),
                      "--out", str(again)]) == EXIT_OK
+        cfg = config(11)
         for out in (again, fresh):
             assert main(["simulate", "--config", cfg,
                          "--out", str(out)]) == EXIT_OK
@@ -281,6 +285,34 @@ class TestSimulate:
         assert sorted(p.name for p in again.iterdir()) == names
         for name in names:
             assert (again / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_embedded_config_replays_the_run(self, tmp_path):
+        cfg = base_config(tmp_path, mode="approx",
+                          states={"kind": "explicit", "theta": 1.0, "phi": 1.3},
+                          postselections=[[0, 0, -1], [0, 0.6, -0.8]],
+                          noise={"photon_budget": 1e5, "seed": 9})
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(first)]) == EXIT_OK
+        recorded = read_image(first / "img_0000_0.pgm").provenance["config"]
+        replayed = write_json(tmp_path / "replay.json", recorded)
+        assert main(["simulate", "--config", replayed,
+                     "--out", str(replay)]) == EXIT_OK
+        names = sorted(p.name for p in first.iterdir())
+        assert names == ["img_0000_0.pgm", "img_0000_1.pgm", "manifest.csv"]
+        assert sorted(p.name for p in replay.iterdir()) == names
+        for name in names:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--mode", "approx"], ["--seed", "3"]],
+                             ids=["mode", "seed"])
+    def test_config_fields_have_no_flag(self, tmp_path, capsys, flag):
+        # a flag would write frames whose embedded config does not replay them
+        with pytest.raises(SystemExit) as refused:
+            main(["simulate", "--config", base_config(tmp_path), *flag])
+        assert refused.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in \
+            capsys.readouterr().err
 
     def test_read_only_frame_is_config_error(self, tmp_path, capsys,
                                              monkeypatch):
@@ -624,6 +656,16 @@ class TestTomo:
         assert report["recovery_error"] < 1e-2
         assert report["uhlmann_fidelity"] > 0.9999
 
+    def test_report_file_records_its_threshold(self, tmp_path, capsys):
+        cfg = self.tomo_config(tmp_path, pixels=128)
+        report = tmp_path / "tomo.json"
+        assert main(["tomo", "--config", cfg, "--threshold-fraction", "0.05",
+                     "--out", str(report)]) == EXIT_OK
+        printed = self.read_report(capsys)
+        assert json.loads(report.read_text()) == {
+            "config": json.loads(Path(cfg).read_text()),
+            "threshold_fraction": 0.05, "report": printed}
+
     def test_tomo_maps_each_zip_once(self, tmp_path, monkeypatch):
         calls = []
         unapply = Calibration.unapply
@@ -847,9 +889,10 @@ def test_frame_beyond_float_range_is_config_error(tmp_path, capsys, mode, g,
     # exact field displaced by 1e200 squares its offset past the float range
     cfg = base_config(tmp_path, probe={"w0_mm": 1.0, "g_mm": g, "l": 1},
                       sensor={"pixel_pitch_mm": 0.1, "width": 64, "height": 64},
-                      states={"kind": "explicit", "theta": 1.0, "phi": 1.3})
+                      states={"kind": "explicit", "theta": 1.0, "phi": 1.3},
+                      mode=mode)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--mode", mode,
+    assert main(["simulate", "--config", cfg,
                  "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "state 0, post-selection 0" in err
@@ -910,59 +953,58 @@ def test_bad_noise_seed_is_config_error(tmp_path, capsys, command, seed):
 ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
 
 
-@pytest.mark.parametrize("command, overrides, flags, named", [
-    ("simulate", ZERO_COUPLING, [], "'probe'"),
-    ("tomo", ZERO_COUPLING, [], "'probe'"),
-    ("simulate", {"postselections": [[0, float("nan"), -1]]}, [],
+@pytest.mark.parametrize("command, overrides, named", [
+    ("simulate", ZERO_COUPLING, "'probe'"),
+    ("tomo", ZERO_COUPLING, "'probe'"),
+    ("simulate", {"postselections": [[0, float("nan"), -1]]},
      "'postselections'"),
-    ("tomo", {"postselections": [[0, 0, -1], [0, float("inf"), 0]]}, [],
+    ("tomo", {"postselections": [[0, 0, -1], [0, float("inf"), 0]]},
      "'postselections'"),
-    ("simulate", {"postselections": 5}, [], "'postselections'"),
-    ("simulate", {"postselections": []}, [],
+    ("simulate", {"postselections": 5}, "'postselections'"),
+    ("simulate", {"postselections": []},
      "'postselections' must be a non-empty list"),
-    ("simulate", {"postselections": "abc"}, [],
+    ("simulate", {"postselections": "abc"},
      "'postselections' must be a non-empty list"),
-    ("simulate", {"states": {"kind": "explicit", "theta": 0.0, "phi": 0.0}},
-     ["--mode", "approx"], "state 0, post-selection 0"),
+    ("simulate", {"states": {"kind": "explicit", "theta": 0.0, "phi": 0.0},
+                  "mode": "approx"}, "state 0, post-selection 0"),
     ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2},
-                  "mode": "exact"}, [], "state 0, post-selection 0"),
-    ("simulate", {"states": {"kind": "equator", "steps": "x"}}, [], "'states'"),
-    ("simulate", {"states": {"kind": "equator", "steps": 2.9}}, [],
+                  "mode": "exact"}, "state 0, post-selection 0"),
+    ("simulate", {"states": {"kind": "equator", "steps": "x"}}, "'states'"),
+    ("simulate", {"states": {"kind": "equator", "steps": 2.9}},
      "'steps' must be an integer"),
-    ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 1.7}}, [],
+    ("simulate", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 1.7}},
      "'l' must be an integer"),
-    ("tomo", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2.0}}, [],
+    ("tomo", {"probe": {"w0_mm": 1.0, "g_mm": 0.05, "l": 2.0}},
      "'l' must be an integer"),
     ("simulate", {"sensor": {"pixel_pitch_mm": 0.03, "width": 32.9,
-                             "height": 256}}, [], "'width' must be an integer"),
+                             "height": 256}}, "'width' must be an integer"),
     ("tomo", {"sensor": {"pixel_pitch_mm": 0.03, "width": 256,
-                         "height": "256"}}, [], "'height' must be an integer"),
+                         "height": "256"}}, "'height' must be an integer"),
     ("simulate", {"states": {"kind": "explicit", "theta": "a", "phi": 0.0}},
-     [], "'states'"),
+     "'states'"),
     ("simulate", {"states": {"kind": "explicit", "theta": 1.0,
-                             "phi": float("nan")}}, [], "'states'"),
+                             "phi": float("nan")}}, "'states'"),
     ("tomo", {"states": {"kind": "bloch", "x": float("nan"), "y": 0.0,
-                         "z": 0.0}}, [], "'states'"),
-    ("tomo", {"states": {"kind": "bloch", "x": 0.0, "y": 0.0, "z": 1.0}}, [],
+                         "z": 0.0}}, "'states'"),
+    ("tomo", {"states": {"kind": "bloch", "x": 0.0, "y": 0.0, "z": 1.0}},
      "Bloch state at post-selection 0"),
     # no sensor renders the default 1024² CCD, too bright for 16-bit counts
     ("simulate", {"sensor": OMIT, "noise": {"photon_budget": 1e12,
-                                            "seed": 1}}, [],
+                                            "seed": 1}},
      "state 0, post-selection 0: photon budget 1e+12 draws a count above"),
-    ("simulate", {}, ["--seed", "3"], "--seed given but config has no noise"),
-    ("simulate", {"mode": "bogus"}, [], "mode must be 'exact' or 'approx'"),
-    ("tomo", {"states": {"kind": "explicit", "theta": 1.0, "phi": 0.0}}, [],
+    ("simulate", {"mode": "bogus"}, "mode must be 'exact' or 'approx'"),
+    ("tomo", {"states": {"kind": "explicit", "theta": 1.0, "phi": 0.0}},
      "'tomo' expects a Bloch-vector state source"),
-    ("simulate", {"sensor": "bogus"}, [],
+    ("simulate", {"sensor": "bogus"},
      "config field 'sensor': unknown preset 'bogus'"),
-    ("simulate", {"states": {"kind": "spiral"}}, [],
+    ("simulate", {"states": {"kind": "spiral"}},
      "config field 'states.kind': unknown kind 'spiral'"),
-    ("simulate", {"postselections": [[0, 1]]}, [],
+    ("simulate", {"postselections": [[0, 1]]},
      "'postselections': post-selection [0, 1] is not a 3-vector"),
-    ("simulate", {"postselections": [[0, 0, 0]]}, [],
+    ("simulate", {"postselections": [[0, 0, 0]]},
      "'postselections': post-selection vector must be nonzero"),
-    ("simulate", {"probe": 5}, [], "'probe' must be an object"),
-    ("simulate", {"noise": "noiseless"}, [], "config field 'noise'"),
+    ("simulate", {"probe": 5}, "'probe' must be an object"),
+    ("simulate", {"noise": "noiseless"}, "config field 'noise'"),
 ], ids=["simulate-zero-g", "tomo-zero-g", "simulate-nan-postselection",
         "tomo-inf-postselection", "postselections-not-a-list",
         "postselections-empty", "postselections-a-string",
@@ -970,18 +1012,18 @@ ZERO_COUPLING = {"probe": {"w0_mm": 1.0, "g_mm": 0.0, "l": 1}}
         "fractional-steps", "fractional-l", "whole-float-l", "fractional-width",
         "string-height",
         "theta-not-a-number", "nan-phi", "nan-bloch", "state-at-pole",
-        "default-sensor-overflows", "seed-without-noise", "bogus-mode",
+        "default-sensor-overflows", "bogus-mode",
         "tomo-pure-source", "unknown-sensor-preset", "unknown-states-kind",
         "two-component-postselection", "zero-postselection",
         "probe-not-an-object", "noiseless-string"])
 def test_bad_scenario_is_config_error(tmp_path, capsys, command, overrides,
-                                      flags, named):
+                                      named):
     scenario = ({"states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
                  "postselections": [[0, 0, -1], [0, 0, 1]]}
                 if command == "tomo" else {})
     cfg = base_config(tmp_path, **(scenario | overrides))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
-                 *flags]) == EXIT_CONFIG
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
 
 
@@ -995,13 +1037,6 @@ def test_config_must_be_an_object(tmp_path, capsys, command, text, named):
     cfg.write_text(text)
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
-
-
-def test_negative_seed_flag_is_config_error(tmp_path, capsys):
-    cfg = base_config(tmp_path, noise={"photon_budget": 1e5, "seed": 3})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--seed", "-1"]) == EXIT_CONFIG
-    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("noise, expected", [
@@ -1044,6 +1079,24 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_readme_synopsis_names_only_accepted_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    seen = 0
+    for line in block.splitlines():
+        program, command, *rest = line.split()
+        assert program == "vortexscope" and command in commands, line
+        accepted = {option for action in commands[command]._actions
+                    for option in action.option_strings}
+        for flag in re.findall(r"--[\w-]+", " ".join(rest)):
+            assert flag in accepted, f"{line}: {flag}"
+            seen += 1
+    assert seen >= 5
+
+
 def test_field_constructors_are_called_through_the_module(tmp_path,
                                                           monkeypatch):
     # the benchmark's tracer times field construction by replacing these
@@ -1062,9 +1115,9 @@ def test_field_constructors_are_called_through_the_module(tmp_path,
         monkeypatch.setattr(probefield, name,
                             counting(name, getattr(probefield, name)))
     sensor = {"pixel_pitch_mm": 8.0 / 64, "width": 64, "height": 64}
-    pure = base_config(tmp_path, sensor=sensor)
     for mode in ("exact", "approx"):
-        assert main(["simulate", "--config", pure, "--mode", mode,
+        pure = base_config(tmp_path, sensor=sensor, mode=mode)
+        assert main(["simulate", "--config", pure,
                      "--out", str(tmp_path / mode)]) == EXIT_OK
     mixed = write_json(tmp_path / "tomo.json",
                        json.loads(Path(pure).read_text())
@@ -1256,6 +1309,15 @@ class TestCentroidCheck:
 
     def test_unknown_config_file(self, capsys):
         assert main(["centroid-check", "--grid", "no-such.json"]) == EXIT_CONFIG
+
+    def test_refused_grid_prints_no_table(self, tmp_path, capsys):
+        # a quadrature grid too large to allocate is refused before the
+        # header prints, so stdout never holds a table without rows
+        grid = write_json(tmp_path / "grid.json", {"resolution": 2 ** 50})
+        assert main(["centroid-check", "--grid", grid]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "'resolution' 1125899906842624: too large to allocate" in err
 
     def test_grid_without_a_sign_vote_reports_the_sign_untested(
             self, tmp_path, capsys):
@@ -1485,6 +1547,22 @@ def test_hostile_input_exits_with_its_code_and_no_traceback(
     estimates = tmp_path / "est.csv"
     assert message in done.stderr + (
         estimates.read_text() if estimates.exists() else "")
+
+
+def test_config_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 whatever the locale: under LC_ALL=C without UTF-8 mode,
+    # a locale-encoded read failed on the first non-ASCII byte
+    config = json.loads(scenario_json(16, 16)) | {"output_dir": "runs/µ"}
+    (tmp_path / "u.json").write_text(json.dumps(config, ensure_ascii=False),
+                                     encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-W", "error", "-m", "vortexscope.cli",
+         "simulate", "--config", "u.json", "--out", "o"],
+        cwd=tmp_path, env=source_env() | {"LC_ALL": "C"}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert read_image(tmp_path / "o" / "img_0000_0.pgm").provenance["config"] \
+        == config
 
 
 @pytest.mark.parametrize("depth, code", [

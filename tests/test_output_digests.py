@@ -46,7 +46,8 @@ INPUTS = {
                       "postselections": [[0, 0, -1], [0, 0, -1]],
                       "noise": NOISE},
     "approx.json": {"probe": PROBE, "sensor": "fast",
-                    "states": {"kind": "equator", "steps": 3}},
+                    "states": {"kind": "equator", "steps": 3},
+                    "mode": "approx"},
     "mixed.json": {"probe": PROBE, "sensor": "fast",
                    "states": {"kind": "bloch", "x": 0.3, "y": -0.2, "z": 0.4},
                    "postselections": [[0, 0, -1], [0, 0, 1], [0, 1, 0],
@@ -67,7 +68,7 @@ CALLS = {
     "simulate infinity": ["simulate", "--config", "infinity.json",
                           "--out", "infinity"],
     "simulate approx": ["simulate", "--config", "approx.json",
-                        "--mode", "approx", "--out", "approx"],
+                        "--out", "approx"],
     "estimate equator": ["estimate", "--cal", "cal.json", "--postselect",
                          ",".join(map(str, TILTED)), "--out", "equator.csv",
                          *frames("equator", 6)],
